@@ -21,14 +21,11 @@ from .core_store import (
     is_tombstone,
 )
 from .ddl import (
-    AccessMode,
     DdlOp,
     DdlResult,
     DdlSpec,
-    OverlapVerdict,
     Policy,
     execute_ddl,
-    overlap_check,
     parse_ddl_spec,
     transform_record,
     verify_record,
@@ -42,8 +39,8 @@ __all__ = [
     "ConstraintKind", "DdlKind", "SchemaState", "SchemaVersion",
     "TOMBSTONE", "DType", "IndirectionArray", "KeyIndex", "TableHandle",
     "Version", "is_tombstone",
-    "AccessMode", "DdlOp", "DdlResult", "DdlSpec", "OverlapVerdict",
-    "Policy", "execute_ddl", "overlap_check", "parse_ddl_spec",
+    "DdlOp", "DdlResult", "DdlSpec", "Policy", "execute_ddl",
+    "parse_ddl_spec",
     "transform_record", "verify_record",
     "LogRecord", "RedoLog",
     "Engine", "GlobalClock", "OverlapAbort", "TxnContext", "TxnStatus",

@@ -21,7 +21,6 @@ class ThroughputSeries:
     total_commits: int = 0
     total_aborts: int = 0
     total_attempts: int = 0
-    late_aborts: int = 0
     abort_reasons: dict[str, int] = field(default_factory=dict)
     ddl_start_ms: Optional[int] = None
     ddl_pre_ms: Optional[int] = None

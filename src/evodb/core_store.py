@@ -234,6 +234,7 @@ class TableHandle:
         self.indexes: dict[str, KeyIndex] = {}
         self.rwlock = RwLock()
         self.active_ddl: Any = None  # DdlJob while one is running
+        self.lazy_state: Any = None  # LazyState after a lazy schema change
         self._alloc_lock = threading.Lock()
         self._next_rid: Rid = 0
 
@@ -265,18 +266,6 @@ class TableHandle:
             new_array.logical_size = self._next_rid
             self.live_array = new_array
             return old
-
-
-def allocate_rid(table: TableHandle) -> Rid:
-    return table.allocate_rid()
-
-
-def snapshot_size(table: TableHandle) -> int:
-    return table.snapshot_size()
-
-
-def swap_array(table: TableHandle, new_array: IndirectionArray) -> IndirectionArray:
-    return table.swap_array(new_array)
 
 
 def read_visible(begin_ts: Timestamp, array: IndirectionArray,

@@ -1,6 +1,6 @@
 """Schema-evolution execution under four policies.
 
-* blocking  - table-level writer lock, migrate in place (baseline)
+* blocking  - table-level writer lock around the basic runner (baseline)
 * basic     - strict per-record snapshot-isolation writes with full
               write-set tracking on the shared array; aborts on any
               write-write conflict with concurrent DML
@@ -10,7 +10,17 @@
               the pre-commit timestamp, and the overlap ("sneak peek")
               admission rules for early access
 * lazy      - commit the schema immediately, migrate records on access
-              and in the background (copy-only changes)
+              and in the background (``add_column`` only)
+
+Every policy but lazy migrates through one ``_Plan`` per job, made once
+from the spec and the old schema. The plan owns the sink (the source
+array, a fresh array, output tables or an index builder), the key
+positions and the constraints the DDL adds, and one per-record step,
+``apply``, which transforms, verifies and writes to the sink. The
+in-place runner, the relaxed scan and change-data-capture replay all
+call that step, so no loop dispatches on the DDL kind. Basic rejects the
+kinds whose sink is not the source array: with no lock and no change
+data capture nothing would carry concurrent writes into it.
 """
 
 from __future__ import annotations
@@ -19,13 +29,12 @@ import gc
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
 from . import core_store, verifier
 from .catalog import (
-    CATALOG_TABLE_ID,
     ColumnDef,
     ConstraintDef,
     ConstraintKind,
@@ -41,7 +50,6 @@ from .core_store import (
     Rid,
     TableHandle,
     Version,
-    is_tombstone,
 )
 from .txn import Engine, TxnContext, TxnStatus, encode_key
 
@@ -150,6 +158,8 @@ class DdlJob:
         # per-chunk scan progress; change data capture skips records the
         # scan has not reached (their latest version gets migrated there)
         self.chunk_started: bytearray = bytearray()
+        # next log position of each change-data-capture worker
+        self.worker_pos: list[int] = []
         self.t_pre: Optional[int] = None
         self.wall_pre: Optional[float] = None
         # set once t_pre is published: new transactions see the pending
@@ -165,7 +175,6 @@ class DdlJob:
         self.resolved = threading.Event()
         self.outcome: Optional[str] = None
         self.sweep_done = threading.Event()
-        self.index_builder: Optional[_IndexBuilder] = None
         self.out_tables: list[TableHandle] = []
         self.out_schemas: list[SchemaVersion] = []
 
@@ -351,47 +360,13 @@ def build_new_schema(old: SchemaVersion, spec: DdlSpec,
                          ddl_kind=spec.classify())
 
 
-class OverlapVerdict(Enum):
-    PROCEED = "proceed"
-    ABORT = "abort"
-    USE_OLD = "use_old"
-
-
-class AccessMode(Enum):
-    READ = "read"
-    BLIND_WRITE = "blind_write"
-    READ_MODIFY_WRITE = "read_modify_write"
-
-
-def overlap_check(txn: TxnContext, table: TableHandle, rid: Rid,
-                  access: AccessMode) -> OverlapVerdict:
-    """The relaxed-admission rule for one record access under a pending
-    schema with out-of-place migration (the engine's read path applies
-    the same rule fused with the read)."""
-    job = table.active_ddl
-    if job is None or job.t_pre is None or txn.begin_ts <= job.t_pre:
-        return OverlapVerdict.USE_OLD
-    if job.new_array is None:
-        return OverlapVerdict.PROCEED
-    if access is AccessMode.BLIND_WRITE:
-        return OverlapVerdict.PROCEED
-    new_v = core_store.latest_committed(job.new_array, rid) \
-        if job.new_array.covers(rid) else None
-    old_v = core_store.latest_committed(job.old_array, rid) \
-        if job.old_array.covers(rid) else None
-    if new_v is None:
-        return OverlapVerdict.PROCEED if old_v is None else OverlapVerdict.ABORT
-    if old_v is not None and old_v.commit_ts > new_v.commit_ts:
-        return OverlapVerdict.ABORT
-    return OverlapVerdict.PROCEED
-
-
 class _IndexBuilder:
     """Timestamp-ordered staging map for online index construction.
 
     Scan workers and the (single) CDC consumer apply entries with
     newest-wins semantics; a second live row claiming an existing key is
-    a uniqueness violation.
+    a uniqueness violation, and a deletion retracts only the key its own
+    record staged.
     """
 
     def __init__(self) -> None:
@@ -405,7 +380,9 @@ class _IndexBuilder:
                 self._map[key] = (ts, rid, live)
                 return None
             cur_ts, cur_rid, cur_live = cur
-            if ts < cur_ts:
+            if not live and cur_rid != rid:
+                return None  # a deletion retracts only its own record's key
+            if ts < cur_ts and (cur_live or cur_rid == rid):
                 return None  # stale replay
             if live and cur_live and cur_rid != rid:
                 return f"duplicate key for rids {cur_rid} and {rid}"
@@ -419,6 +396,156 @@ class _IndexBuilder:
                 if live:
                     index.insert(key, rid)
         return index
+
+
+class _Plan:
+    """One job's migration, made once from the spec and the old schema:
+    the new schema (None for kinds that only make output tables), the
+    constraints the DDL adds, and the sink. ``apply`` is the per-record
+    step of every policy's scan and of change-data-capture replay.
+
+    The sink is chosen here, once per job: the source array under the DDL
+    transaction (blocking, basic), a fresh array with inherited timestamps
+    (relaxed copies), the output tables of split/join/create-as, an index
+    builder, or none (verify-only kinds)."""
+
+    def __init__(self, job: DdlJob, in_place: bool) -> None:
+        engine, spec, table, txn = job.engine, job.spec, job.table, job.txn
+        old = engine.catalog.latest_committed_schema(table.table_id)
+        job.old_schema, job.old_array = old, table.live_array
+        self.job, self.spec, self.old = job, spec, old
+        self.ctx = LookupContext(engine)
+        self.schema: Optional[SchemaVersion] = None
+        self.constraints: tuple[ConstraintDef, ...] = ()
+        self.index: Optional[_IndexBuilder] = None
+        self.key_positions: tuple[int, ...] = ()
+        # (output array, column positions or None for the whole payload)
+        self.outs: list[tuple[IndirectionArray, Optional[tuple[int, ...]]]] = []
+        # the sink takes no admitted writes, so replay runs to the log tail
+        self.to_tail = False
+        self._put, self._delete = self._skip, self._skip
+        kind = spec.kind
+        if kind in (DdlOp.SPLIT_TABLE, DdlOp.CREATE_TABLE_AS, DdlOp.JOIN_TABLE):
+            # (name, columns, positions projected from the transformed row)
+            if kind is DdlOp.SPLIT_TABLE:
+                targets = []
+                for name, cols in spec.out_split:
+                    pos = tuple(old.col_index(c) for c in cols)
+                    targets.append((name, tuple(old.columns[i] for i in pos),
+                                    pos))
+            elif kind is DdlOp.CREATE_TABLE_AS:
+                targets = [(spec.out_table, tuple(
+                    old.columns[old.col_index(c)] for c in spec.select_cols),
+                    None)]
+            else:
+                src = engine.catalog.latest_committed_schema(
+                    engine.catalog.handle_by_name(spec.source_table).table_id)
+                targets = [(spec.out_table, old.columns + tuple(
+                    src.columns[src.col_index(c)] for c in spec.join_cols),
+                    None)]
+            for name, cols, pos in targets:
+                handle = engine.catalog.new_table_handle(name)
+                schema = SchemaVersion(handle.table_id, name, cols,
+                                       data_array=handle.live_array,
+                                       ddl_kind=spec.classify())
+                if not engine.catalog.install_schema_version(
+                        txn, handle.table_id, schema):
+                    job.fail("conflict")
+                    return
+                job.out_tables.append(handle)
+                job.out_schemas.append(schema)
+                self.outs.append((handle.live_array, pos))
+            self._put = self._delete = self._to_out_tables
+            self.to_tail = True
+            return
+        verify_only = spec.classify() is DdlKind.VERIFY_ONLY
+        if not in_place and not verify_only and kind is not DdlOp.CREATE_INDEX:
+            job.new_array = IndirectionArray()
+            self._put = self._delete = self._to_new_array
+        self.schema = build_new_schema(
+            old, spec, table.live_array if job.new_array is None
+            else job.new_array)
+        if not engine.catalog.install_schema_version(txn, table.table_id,
+                                                     self.schema):
+            job.fail("conflict")
+            return
+        job.pending_schema = self.schema
+        self.constraints = spec.constraints
+        if kind is DdlOp.CREATE_INDEX:
+            self.index = _IndexBuilder()
+            self.key_positions = tuple(old.col_index(c) for c in spec.index_cols)
+            self._put, self._delete = self._to_index, self._unindex
+            self.to_tail = True
+        elif in_place and not verify_only:
+            self._put = self._in_place
+
+    def apply(self, rid: Rid, v: Version) -> bool:
+        """Migrate source version ``v`` of ``rid`` into the sink; True when
+        the sink took it. A record that cannot be migrated fails the job."""
+        if v.is_tombstone:
+            return self._delete(rid, v, TOMBSTONE)
+        payload = transform_record(v.payload, self.old, self.schema,
+                                   self.spec, self.ctx)
+        if payload is INCOMPATIBLE or (self.constraints and not verify_record(
+                payload, self.schema, self.constraints, self.ctx)):
+            self.job.fail("incompatible_data")
+            return False
+        return self._put(rid, v, payload)
+
+    def _skip(self, rid: Rid, v: Version, payload: Any) -> bool:
+        return False
+
+    def _in_place(self, rid: Rid, v: Version, payload: Any) -> bool:
+        job = self.job
+        if core_store.install_version(job.txn, job.old_array, rid,
+                                      Version(payload, owner_txn=job.txn.txn_id),
+                                      job.table.table_id):
+            return True
+        job.fail("conflict")
+        return False
+
+    def _to_new_array(self, rid: Rid, v: Version, payload: Any) -> bool:
+        return core_store.install_migrated(self.job.new_array, rid, payload,
+                                           v.commit_ts, newer_than=self.job.t_pre)
+
+    def _to_out_tables(self, rid: Rid, v: Version, payload: Any) -> bool:
+        # output arrays are written only by this job, so plain newest-wins
+        # ordering applies (no admitted-era boundary)
+        for arr, pos in self.outs:
+            row = payload if pos is None or payload is TOMBSTONE \
+                else tuple(payload[i] for i in pos)
+            core_store.install_migrated(arr, rid, row, v.commit_ts)
+            if rid >= arr.logical_size:
+                arr.logical_size = rid + 1
+        return True
+
+    def _key(self, payload: tuple) -> bytes:
+        return encode_key(tuple(payload[i] for i in self.key_positions))
+
+    def _to_index(self, rid: Rid, v: Version, payload: Any) -> bool:
+        if self.index.apply(self._key(payload), v.commit_ts, rid, True):
+            self.job.fail("incompatible_data")
+            return False
+        return True
+
+    def _unindex(self, rid: Rid, v: Version, payload: Any) -> bool:
+        prior = next((p for p in v.chain() if p.is_committed
+                      and not p.is_tombstone and p.commit_ts < v.commit_ts),
+                     None)
+        if prior is None:
+            return False
+        self.index.apply(self._key(prior.payload), v.commit_ts, rid, False)
+        return True
+
+    def publish(self) -> None:
+        """Make the sink live for the committed schema."""
+        job = self.job
+        if job.new_array is not None:
+            job.table.swap_array(job.new_array)
+        if self.index is not None:
+            job.table.indexes[self.spec.index_name] = self.index.materialize(
+                self.spec.index_name, self.key_positions)
+        _sync_out_tables(job)
 
 
 # ---------------------------------------------------------------------------
@@ -525,138 +652,57 @@ def _run_drop_table(job: DdlJob) -> DdlResult:
     return DdlResult("committed", commit_ts=txn.commit_ts, job=job)
 
 
-# -- blocking -----------------------------------------------------------------
+# -- blocking and basic -------------------------------------------------------
 
 
 def _run_blocking(job: DdlJob) -> DdlResult:
-    engine = job.engine
-    spec = job.spec
     table = job.table
     table.rwlock.acquire_write()
     try:
-        txn = engine.begin()
-        job.txn = txn
-        old = engine.catalog.latest_committed_schema(table.table_id)
-        job.old_schema = old
-        arr = table.live_array
-        job.old_array = arr
-        if spec.kind in (DdlOp.SPLIT_TABLE, DdlOp.CREATE_TABLE_AS,
-                         DdlOp.JOIN_TABLE):
-            new_schema = None
-            _prepare_out_tables(job, txn, old)
-            if job.failed:
-                return _abort_job(job, job.failure)
-        else:
-            new_schema = build_new_schema(old, spec, arr)
-            if not engine.catalog.install_schema_version(txn, table.table_id,
-                                                         new_schema):
-                return _abort_job(job, "conflict")
-        ctx = LookupContext(engine)
-        bound = table.next_rid
-        builder = _IndexBuilder() if spec.kind is DdlOp.CREATE_INDEX else None
-        key_positions = (tuple(old.col_index(c) for c in spec.index_cols)
-                         if spec.kind is DdlOp.CREATE_INDEX else ())
-        job.phase = Phase.SCANNING
-        for rid in range(bound):
-            if not arr.covers(rid):
-                continue
-            v = core_store.latest_committed(arr, rid)
-            job.scan_visits += 1
-            if v is None or v.is_tombstone:
-                continue
-            if spec.kind is DdlOp.CREATE_INDEX:
-                key = encode_key(tuple(v.payload[i] for i in key_positions))
-                err = builder.apply(key, v.commit_ts, rid, True)
-                if err:
-                    return _abort_job(job, "incompatible_data")
-                continue
-            if spec.kind in (DdlOp.SPLIT_TABLE, DdlOp.CREATE_TABLE_AS,
-                             DdlOp.JOIN_TABLE):
-                if not _emit_out_rows(job, rid, v, ctx):
-                    return _abort_job(job, "incompatible_data")
-                continue
-            new_payload = transform_record(v.payload, old, new_schema, spec, ctx)
-            if new_payload is INCOMPATIBLE:
-                return _abort_job(job, "incompatible_data")
-            if new_schema.constraints and not verify_record(
-                    new_payload, new_schema, new_schema.constraints, ctx):
-                return _abort_job(job, "incompatible_data")
-            if spec.classify() in (DdlKind.COPY_ONLY, DdlKind.COPY_AND_VERIFY):
-                nv = Version(new_payload, owner_txn=txn.txn_id)
-                if not core_store.install_version(txn, arr, rid, nv,
-                                                  table.table_id):
-                    return _abort_job(job, "conflict")
-        job.phase = Phase.FINALIZING
-        status = engine.commit(txn)
-        if status is TxnStatus.ABORTED:
-            return _abort_job(job, txn.abort_reason or "conflict")
-        if builder is not None:
-            table.indexes[spec.index_name] = builder.materialize(
-                spec.index_name, key_positions)
-        _sync_out_tables(job)
-        _emit_schema_commit(job, new_schema, txn.commit_ts)
-        job.commit_ts = txn.commit_ts
-        job.resolve("committed")
-        return DdlResult("committed", commit_ts=txn.commit_ts, job=job)
+        return _run_in_place(job)
     finally:
         table.rwlock.release_write()
 
 
-# -- basic --------------------------------------------------------------------
-
-
 def _run_basic(job: DdlJob) -> DdlResult:
+    if job.spec.kind in (DdlOp.CREATE_INDEX, DdlOp.CREATE_TABLE_AS,
+                         DdlOp.SPLIT_TABLE, DdlOp.JOIN_TABLE):
+        # with no lock and no change data capture, nothing would carry
+        # concurrent writes into a sink other than the source array
+        return _abort_job(job, "unsupported_basic_kind")
+    return _run_in_place(job)
+
+
+def _run_in_place(job: DdlJob) -> DdlResult:
+    """Migrate every record under the DDL transaction's own snapshot; a
+    record with a newer committed version it cannot see is a conflict."""
     engine = job.engine
-    spec = job.spec
     table = job.table
     txn = engine.begin()
     job.txn = txn
-    old = engine.catalog.latest_committed_schema(table.table_id)
-    job.old_schema = old
-    arr = table.live_array
-    job.old_array = arr
-    new_schema = build_new_schema(old, spec, arr)
-    if not engine.catalog.install_schema_version(txn, table.table_id, new_schema):
-        return _abort_job(job, "conflict")
-    ctx = LookupContext(engine)
-    verify_only = spec.classify() is DdlKind.VERIFY_ONLY
-    bound = table.next_rid
+    plan = _Plan(job, in_place=True)
+    if job.failed:
+        return _abort_job(job, job.failure)
+    arr = job.old_array
     job.phase = Phase.SCANNING
-    for rid in range(bound):
+    for rid in range(table.next_rid):
         if not arr.covers(rid):
             continue
         job.scan_visits += 1
-        if verify_only:
-            v = core_store.latest_committed(arr, rid)
-            if v is None or v.is_tombstone:
-                continue
-            if not verify_record(v.payload, old, spec.constraints, ctx):
-                return _abort_job(job, "incompatible_data")
-            continue
         found = core_store.read_visible(txn.begin_ts, arr, rid)
-        head = core_store.latest_committed(arr, rid)
         if found is None:
-            if head is not None:
-                # a concurrent writer committed a version we cannot see
+            if core_store.latest_committed(arr, rid) is not None:
                 return _abort_job(job, "conflict")
             continue
-        v, _ = found
-        if v.is_tombstone:
-            continue
-        new_payload = transform_record(v.payload, old, new_schema, spec, ctx)
-        if new_payload is INCOMPATIBLE:
-            return _abort_job(job, "incompatible_data")
-        if new_schema.constraints and not verify_record(
-                new_payload, new_schema, new_schema.constraints, ctx):
-            return _abort_job(job, "incompatible_data")
-        nv = Version(new_payload, owner_txn=txn.txn_id)
-        if not core_store.install_version(txn, arr, rid, nv, table.table_id):
-            return _abort_job(job, "conflict")
+        plan.apply(rid, found[0])
+        if job.failed:
+            return _abort_job(job, job.failure)
     job.phase = Phase.FINALIZING
     status = engine.commit(txn)
     if status is TxnStatus.ABORTED:
         return _abort_job(job, txn.abort_reason or "conflict")
-    _emit_schema_commit(job, new_schema, txn.commit_ts)
+    plan.publish()
+    _emit_schema_commit(job, plan.schema, txn.commit_ts)
     job.commit_ts = txn.commit_ts
     job.resolve("committed")
     return DdlResult("committed", commit_ts=txn.commit_ts, job=job)
@@ -718,7 +764,9 @@ def _run_lazy(job: DdlJob) -> DdlResult:
     engine = job.engine
     spec = job.spec
     table = job.table
-    if spec.kind not in (DdlOp.ADD_COLUMN, DdlOp.DROP_COLUMN):
+    if spec.kind is not DdlOp.ADD_COLUMN:
+        # other kinds would need a record's format to be known, not
+        # guessed from its arity, and an older snapshot's versions kept
         return _abort_job(job, "unsupported_lazy_kind")
     txn = engine.begin()
     job.txn = txn
@@ -746,97 +794,15 @@ def _run_lazy(job: DdlJob) -> DdlResult:
 # -- relaxed ------------------------------------------------------------------
 
 
-def _prepare_out_tables(job: DdlJob, txn: TxnContext,
-                        old: SchemaVersion) -> None:
-    """Create hidden output tables (split/join/create-as) whose schema
-    records stay uncommitted until the job finalizes."""
-    engine = job.engine
-    spec = job.spec
-    targets: list[tuple[str, tuple[ColumnDef, ...]]] = []
-    if spec.kind is DdlOp.SPLIT_TABLE:
-        for name, cols in spec.out_split:
-            targets.append((name, tuple(old.columns[old.col_index(c)]
-                                        for c in cols)))
-    elif spec.kind is DdlOp.CREATE_TABLE_AS:
-        targets.append((spec.out_table,
-                        tuple(old.columns[old.col_index(c)]
-                              for c in spec.select_cols)))
-    elif spec.kind is DdlOp.JOIN_TABLE:
-        src_schema = engine.catalog.latest_committed_schema(
-            engine.catalog.handle_by_name(spec.source_table).table_id)
-        joined = old.columns + tuple(
-            src_schema.columns[src_schema.col_index(c)] for c in spec.join_cols)
-        targets.append((spec.out_table, joined))
-    for name, cols in targets:
-        handle = engine.catalog.new_table_handle(name)
-        schema = SchemaVersion(handle.table_id, name, cols,
-                               data_array=handle.live_array,
-                               ddl_kind=spec.classify())
-        if not engine.catalog.install_schema_version(txn, handle.table_id, schema):
-            job.fail("conflict")
-            return
-        job.out_tables.append(handle)
-        job.out_schemas.append(schema)
-
-
-def _emit_out_rows(job: DdlJob, rid: Rid, v: Version,
-                   ctx: LookupContext) -> bool:
-    """Project one source record into the output tables (inherited ts).
-
-    Output arrays are written only by this job, so plain newest-wins
-    ordering applies (no admitted-era boundary)."""
-    spec = job.spec
-    old = job.old_schema
-    if spec.kind is DdlOp.SPLIT_TABLE:
-        for handle, (name, cols) in zip(job.out_tables, spec.out_split):
-            sub = tuple(v.payload[old.col_index(c)] for c in cols)
-            core_store.install_migrated(handle.live_array, rid, sub,
-                                        v.commit_ts)
-            if rid >= handle.live_array.logical_size:
-                handle.live_array.logical_size = rid + 1
-        return True
-    payload = transform_record(v.payload, old, None, spec, ctx)
-    if payload is INCOMPATIBLE:
-        return False
-    handle = job.out_tables[0]
-    core_store.install_migrated(handle.live_array, rid, payload, v.commit_ts)
-    if rid >= handle.live_array.logical_size:
-        handle.live_array.logical_size = rid + 1
-    return True
-
-
 def _run_relaxed(job: DdlJob) -> DdlResult:
     engine = job.engine
-    spec = job.spec
     table = job.table
-    kind = spec.classify()
     txn = engine.begin()
     job.txn = txn
-    old = engine.catalog.latest_committed_schema(table.table_id)
-    job.old_schema = old
-    job.old_array = table.live_array
-
-    out_table_kind = spec.kind in (DdlOp.SPLIT_TABLE, DdlOp.CREATE_TABLE_AS,
-                                   DdlOp.JOIN_TABLE)
-    index_kind = spec.kind is DdlOp.CREATE_INDEX
-    copies = kind in (DdlKind.COPY_ONLY, DdlKind.COPY_AND_VERIFY) \
-        and not out_table_kind and not index_kind
-    new_schema: Optional[SchemaVersion] = None
-
-    if out_table_kind:
-        _prepare_out_tables(job, txn, old)
-        if job.failed:
-            return _abort_job(job, job.failure)
-    else:
-        job.new_array = IndirectionArray() if copies else None
-        data_array = job.new_array if copies else table.live_array
-        new_schema = build_new_schema(old, spec, data_array)
-        if not engine.catalog.install_schema_version(txn, table.table_id,
-                                                     new_schema):
-            return _abort_job(job, "conflict")
-        job.pending_schema = new_schema
-    if index_kind:
-        job.index_builder = _IndexBuilder()
+    plan = _Plan(job, in_place=False)
+    if job.failed:
+        return _abort_job(job, job.failure)
+    new_schema = plan.schema
 
     # scan bookmarks: the log position first, then the array size, so an
     # insert between the two snapshots is covered by change data capture
@@ -845,22 +811,21 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
     job.chunk_started = bytearray((job.scan_bound + SCAN_CHUNK - 1) // SCAN_CHUNK)
     job.phase = Phase.SCANNING
 
-    ctx = LookupContext(engine)
-    drain_to_tail = index_kind or out_table_kind
+    drain_to_tail = plan.to_tail
     # index builds need ordered replay; a single change-data consumer
-    ncdc = 1 if index_kind else job.cdc_workers
-    job._worker_pos = [job.cdc_start_lsn] * ncdc
+    ncdc = 1 if plan.index is not None else job.cdc_workers
+    job.worker_pos = [job.cdc_start_lsn] * ncdc
     cdc_stop = threading.Event()
     cdc_threads = [
         threading.Thread(target=_cdc_worker,
-                         args=(job, i, ctx, cdc_stop, drain_to_tail),
+                         args=(job, i, plan, cdc_stop, drain_to_tail),
                          daemon=True)
         for i in range(ncdc)
     ]
     for t in cdc_threads:
         t.start()
 
-    scan_threads = [threading.Thread(target=_scan_worker, args=(job, i, ctx),
+    scan_threads = [threading.Thread(target=_scan_worker, args=(job, i, plan),
                                      daemon=True)
                     for i in range(job.scan_workers)]
     for t in scan_threads:
@@ -896,7 +861,7 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
         # snapshot; the finalize section drains the remainder inline
         while not job.failed:
             tail = engine.log.current_lsn()
-            if all(p >= tail for p in job_worker_pos(job)):
+            if all(p >= tail for p in job.worker_pos):
                 break
             time.sleep(0.001)
         job.cdc_end_lsn = engine.log.current_lsn()
@@ -909,34 +874,23 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
     # finalize
     job.phase = Phase.FINALIZING
     with engine._commit_mutex:
-        if job.failed:
-            pass
-        else:
-            if drain_to_tail:
-                _drain_inline(job, ctx, engine.log.current_lsn())
-            if not job.failed:
-                cts = engine.clock.reserve()
-                txn.commit_ts = cts
-                for _tid, _arr, _rid, version in txn.write_set:
-                    version.commit_ts = cts
-                if new_schema is not None:
-                    engine.catalog.finalize_schema(table.table_id, cts)
-                    if job.new_array is not None:
-                        table.swap_array(job.new_array)
-                _sync_out_tables(job)
-                if index_kind:
-                    key_positions = tuple(old.col_index(c)
-                                          for c in spec.index_cols)
-                    table.indexes[spec.index_name] = \
-                        job.index_builder.materialize(spec.index_name,
-                                                      key_positions)
-                engine.log.append_commit(txn)
-                if engine.trace:
-                    engine.trace.emit(verifier.COMMIT, txn=txn.txn_id, ts=cts)
-                txn.status = TxnStatus.PRE_COMMITTED
-                engine._enqueue_precommitted(txn)
-                job.commit_ts = cts
-                engine.clock.publish(cts)
+        if drain_to_tail and not job.failed:
+            _drain_inline(job, plan, engine.log.current_lsn())
+        if not job.failed:
+            cts = engine.clock.reserve()
+            txn.commit_ts = cts
+            for _tid, _arr, _rid, version in txn.write_set:
+                version.commit_ts = cts
+            if new_schema is not None:
+                engine.catalog.finalize_schema(table.table_id, cts)
+            plan.publish()
+            engine.log.append_commit(txn)
+            if engine.trace:
+                engine.trace.emit(verifier.COMMIT, txn=txn.txn_id, ts=cts)
+            txn.status = TxnStatus.PRE_COMMITTED
+            engine._enqueue_precommitted(txn)
+            job.commit_ts = cts
+            engine.clock.publish(cts)
     if job.failed:
         return _abort_job(job, job.failure)
     _emit_schema_commit(job, new_schema, job.commit_ts)
@@ -947,17 +901,19 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
 
 
 def job_worker_pos(job: DdlJob) -> list[int]:
-    return getattr(job, "_worker_pos", [])
+    """The change-data-capture workers' log positions (empty until the
+    relaxed scan starts)."""
+    return job.worker_pos
 
 
-def _scan_worker(job: DdlJob, idx: int, ctx: LookupContext) -> None:
+def _scan_worker(job: DdlJob, idx: int, plan: _Plan) -> None:
     """Chunked round-robin pass over RIDs [0, S) migrating the latest
     committed version of each record with its inherited timestamp.
 
     Foreground transaction threads keep their scheduler share; see
     ``_ScanPacer``."""
     with _ScanPacer(job) as pacer:
-        _scan_chunks(job, idx, ctx, pacer)
+        _scan_chunks(job, idx, plan, pacer)
 
 
 class _ScanPacer:
@@ -1020,72 +976,36 @@ class _ScanPacer:
         self._wall, self._cpu = wall, cpu
 
 
-def _scan_chunks(job: DdlJob, idx: int, ctx: LookupContext,
+def _scan_chunks(job: DdlJob, idx: int, plan: _Plan,
                  pacer: _ScanPacer) -> None:
-    spec = job.spec
-    old = job.old_schema
-    new_schema = job.pending_schema
     arr = job.old_array
+    apply = plan.apply
     visits = 0
-    verify_constraints = spec.constraints if spec.constraints else ()
-    key_positions = (tuple(old.col_index(c) for c in spec.index_cols)
-                     if spec.kind is DdlOp.CREATE_INDEX else ())
     for chunk in range(idx * SCAN_CHUNK, job.scan_bound,
                        job.scan_workers * SCAN_CHUNK):
         if job.failed:
             break
         pacer.pace()
-        job.chunk_started[chunk >> 9] = 1  # SCAN_CHUNK == 512
+        job.chunk_started[chunk // SCAN_CHUNK] = 1
         for rid in range(chunk, min(chunk + SCAN_CHUNK, job.scan_bound)):
             visits += 1
             if not arr.covers(rid):
                 continue
             v = core_store.latest_committed(arr, rid)
-            if v is None:
-                continue
-            if v.is_tombstone:
-                if job.new_array is not None:
-                    core_store.install_migrated(job.new_array, rid, TOMBSTONE,
-                                                v.commit_ts,
-                                                newer_than=job.t_pre)
-                continue
-            if spec.kind is DdlOp.CREATE_INDEX:
-                key = encode_key(tuple(v.payload[i] for i in key_positions))
-                err = job.index_builder.apply(key, v.commit_ts, rid, True)
-                if err:
-                    job.fail("incompatible_data")
-                    return
-                continue
-            if job.out_tables:
-                if not _emit_out_rows(job, rid, v, ctx):
-                    job.fail("incompatible_data")
-                    return
-                continue
-            payload = transform_record(v.payload, old, new_schema, spec, ctx)
-            if payload is INCOMPATIBLE:
-                job.fail("incompatible_data")
-                return
-            if verify_constraints and new_schema is not None and \
-                    not verify_record(payload, new_schema, verify_constraints, ctx):
-                job.fail("incompatible_data")
-                return
-            if job.new_array is not None:
-                core_store.install_migrated(job.new_array, rid, payload,
-                                            v.commit_ts, newer_than=job.t_pre)
+            if v is not None:
+                apply(rid, v)
         with job._fail_lock:
             job.scan_visits += visits
             visits = 0
-    with job._fail_lock:
-        job.scan_visits += visits
 
 
-def _cdc_worker(job: DdlJob, idx: int, ctx: LookupContext,
+def _cdc_worker(job: DdlJob, idx: int, plan: _Plan,
                 stop: threading.Event, drain_to_tail: bool) -> None:
     """Consume the redo log from the job's bookmark, transforming and
     installing concurrent updates (newest-wins, stale replays discarded).
     Runs concurrently with the scan phase."""
     engine = job.engine
-    nworkers = len(job._worker_pos)
+    nworkers = len(job.worker_pos)
     pos = job.cdc_start_lsn
     while True:
         end = job.cdc_end_lsn
@@ -1109,12 +1029,12 @@ def _cdc_worker(job: DdlJob, idx: int, ctx: LookupContext,
                     and rec.commit_ts > job.t_pre:
                 continue
             if rec.rid < job.scan_bound \
-                    and not job.chunk_started[rec.rid >> 9]:
+                    and not job.chunk_started[rec.rid // SCAN_CHUNK]:
                 continue  # an unstarted scan chunk will migrate it fresher
-            _replay_record(job, rec, ctx)
+            _replay_record(job, rec, plan)
             if job.failed:
                 break
-        job._worker_pos[idx] = pos
+        job.worker_pos[idx] = pos
         if job.failed:
             return
         if end is not None and pos >= end:
@@ -1125,12 +1045,10 @@ def _cdc_worker(job: DdlJob, idx: int, ctx: LookupContext,
             time.sleep(0.0005)
 
 
-def _replay_record(job: DdlJob, rec, ctx: LookupContext) -> None:
+def _replay_record(job: DdlJob, rec, plan: _Plan) -> None:
     """Replay one redo record into the migration target. The source
     version is re-located on the old chain so records whose transaction
     was cascade-aborted after logging are skipped."""
-    spec = job.spec
-    old = job.old_schema
     arr = job.old_array
     if job.new_array is not None and job.new_array.covers(rec.rid):
         # cheap staleness pre-check: the scan (or an earlier replay) may
@@ -1145,72 +1063,30 @@ def _replay_record(job: DdlJob, rec, ctx: LookupContext) -> None:
             if v.commit_ts >= rec.commit_ts:
                 return
             break
-    source = None
-    if arr.covers(rec.rid):
-        head = arr.head(rec.rid)
-        for v in (head.chain() if head is not None else ()):
-            if v.is_committed:
-                if v.commit_ts == rec.commit_ts:
-                    source = v
-                    break
-                if v.commit_ts < rec.commit_ts:
-                    break
-    if source is None:
+    if not arr.covers(rec.rid):
         return
-    if spec.kind is DdlOp.CREATE_INDEX:
-        key_positions = tuple(old.col_index(c) for c in spec.index_cols)
-        if source.is_tombstone:
-            prior = next((v for v in source.chain()
-                          if v.is_committed and not v.is_tombstone
-                          and v.commit_ts < source.commit_ts), None)
-            if prior is not None:
-                key = encode_key(tuple(prior.payload[i] for i in key_positions))
-                job.index_builder.apply(key, source.commit_ts, rec.rid, False)
-            return
-        key = encode_key(tuple(source.payload[i] for i in key_positions))
-        err = job.index_builder.apply(key, source.commit_ts, rec.rid, True)
-        if err:
-            job.fail("incompatible_data")
-        job.cdc_installs += 1
-        return
-    if job.out_tables:
-        if source.is_tombstone:
-            for handle in job.out_tables:
-                core_store.install_migrated(handle.live_array, rec.rid,
-                                            TOMBSTONE, source.commit_ts)
-        elif not _emit_out_rows(job, rec.rid, source, ctx):
-            job.fail("incompatible_data")
-        job.cdc_installs += 1
-        return
-    new_schema = job.pending_schema
-    if source.is_tombstone:
-        payload = TOMBSTONE
-    else:
-        payload = transform_record(source.payload, old, new_schema, spec, ctx)
-        if payload is INCOMPATIBLE:
-            job.fail("incompatible_data")
-            return
-        if spec.constraints and new_schema is not None and \
-                not verify_record(payload, new_schema, spec.constraints, ctx):
-            job.fail("incompatible_data")
-            return
-    if job.new_array is not None:
-        if core_store.install_migrated(job.new_array, rec.rid, payload,
-                                       source.commit_ts, newer_than=job.t_pre):
-            job.cdc_installs += 1
+    head = arr.head(rec.rid)
+    for v in (head.chain() if head is not None else ()):
+        if v.is_committed:
+            if v.commit_ts == rec.commit_ts:
+                if plan.apply(rec.rid, v):
+                    job.cdc_installs += 1
+                return
+            if v.commit_ts < rec.commit_ts:
+                return
 
 
-def _drain_inline(job: DdlJob, ctx: LookupContext, tail: int) -> None:
+def _drain_inline(job: DdlJob, plan: _Plan, tail: int) -> None:
     """Consume any log remainder inside the finalize critical section
     (index builds and new-table kinds publish an up-to-the-tail state)."""
-    pos = min(job_worker_pos(job), default=job.cdc_start_lsn)
+    pos = min(job.worker_pos, default=job.cdc_start_lsn)
     engine = job.engine
     while pos < tail:
         rec = engine.log.record(pos)
         pos += 1
         if rec.table_id != job.table.table_id:
             continue
-        _replay_record(job, rec, ctx)
+        _replay_record(job, rec, plan)
         if job.failed:
             return
 

@@ -19,7 +19,7 @@ import itertools
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator, Optional
 
@@ -27,8 +27,6 @@ from . import core_store, verifier
 from .catalog import (
     CATALOG_TABLE_ID,
     Catalog,
-    ConstraintDef,
-    DdlKind,
     SchemaState,
     SchemaVersion,
 )
@@ -133,7 +131,6 @@ class _QueueEntry:
     txn: TxnContext
     pre_commit_ts: Timestamp
     barriers: frozenset
-    done: threading.Event = field(default_factory=threading.Event)
 
 
 def encode_key(values: tuple) -> bytes:
@@ -353,7 +350,7 @@ class Engine:
         if len(payload) > n:
             # written under a wider (newer) schema; project down
             return payload[:n]
-        lazy = getattr(table, "lazy_state", None)
+        lazy = table.lazy_state
         if lazy is not None and lazy.schema is schema:
             migrated = lazy.migrate_on_access(rid, version)
             if migrated is not None:
@@ -386,9 +383,12 @@ class Engine:
                     f"payload arity {len(values)} != schema arity {schema.ncols} "
                     f"for table {schema.table_name}")
         if admitted:
-            if schema.constraints and not is_tombstone(values):
+            # like the job's scan and replay, verify the constraints the
+            # DDL adds (earlier ones are not enforced on ordinary writes)
+            added = job.spec.constraints
+            if added and not is_tombstone(values):
                 from . import ddl  # local import to avoid a cycle
-                if not ddl.verify_record(values, schema, schema.constraints,
+                if not ddl.verify_record(values, schema, added,
                                          ddl.LookupContext(self)):
                     job.fail("incompatible_data")
                     return False
@@ -521,7 +521,7 @@ class Engine:
             if not head.is_committed:
                 # uncommitted schema install sits on top of the one we used
                 job = self.catalog.handle(tid).active_ddl
-                relaxed = job is not None and getattr(job, "relaxed", False)
+                relaxed = job is not None and job.relaxed
                 if relaxed and head.next is not None and head.next.payload is used:
                     continue  # relaxed scan phase: old-array writers may commit
                 return "schema_conflict"
@@ -603,7 +603,6 @@ class Engine:
             self._undo_index_ops(txn)
         else:
             txn.status = TxnStatus.COMMITTED
-        entry.done.set()
 
     def _undo_index_ops(self, txn: TxnContext) -> None:
         for op, index, key, rid in txn.index_ops:

@@ -1,30 +1,28 @@
+import contextlib
+import functools
 import threading
 import time
 
 import pytest
 
 from evodb import (
-    TOMBSTONE,
     ColumnDef,
     ConstraintDef,
     ConstraintKind,
     DType,
     Engine,
+    OverlapAbort,
     TxnStatus,
 )
-from evodb import core_store
-from evodb.catalog import SchemaState
+from evodb import core_store, ddl
 from evodb.ddl import (
     INCOMPATIBLE,
-    AccessMode,
     DdlOp,
     DdlSpec,
     LookupContext,
-    OverlapVerdict,
     Policy,
     build_new_schema,
     execute_ddl,
-    overlap_check,
     parse_constraint,
     parse_ddl_spec,
     transform_record,
@@ -415,59 +413,86 @@ class TestRelaxedPolicy:
         assert arr is engine.catalog.array and rid == t.table_id
 
 
-class TestOverlapCheck:
-    def _pending_job(self, engine, table):
-        from evodb.ddl import DdlJob
-        job = DdlJob(engine, add_col_spec(), Policy.RELAXED, 1, 1)
-        job.table = table
-        job.old_array = table.live_array
-        job.new_array = core_store.IndirectionArray()
+@contextlib.contextmanager
+def pending_add_column(engine, table):
+    """A hand-driven relaxed add_column, held in the pending state with an
+    empty new array; revoked on exit."""
+    from evodb.ddl import DdlJob
+    spec = add_col_spec(table.name)
+    job = DdlJob(engine, spec, Policy.RELAXED, 1, 1)
+    job.table = table
+    job.txn = engine.begin()
+    job.old_schema = engine.catalog.latest_committed_schema(table.table_id)
+    job.old_array = table.live_array
+    job.new_array = core_store.IndirectionArray()
+    job.pending_schema = build_new_schema(job.old_schema, spec, job.new_array)
+    assert engine.catalog.install_schema_version(job.txn, table.table_id,
+                                                 job.pending_schema)
+    table.active_ddl = job
+    with engine._commit_mutex:
         job.t_pre = engine.clock.advance()
-        table.active_ddl = job
-        return job
+        engine.catalog.set_pending(table.table_id, job.t_pre)
+    try:
+        yield job
+    finally:
+        with engine._commit_mutex:
+            engine.catalog.revoke_pending(table.table_id)
+        table.active_ddl = None
+        engine._abort_internal(job.txn)
+        job.resolve("aborted")
 
-    def test_migrated_equal_ts_proceeds(self, engine, table3):
-        job = self._pending_job(engine, table3)
+
+class TestOverlapCheck:
+    """The relaxed admission ("sneak peek") rule, through Engine.read and
+    Engine.write of a transaction admitted under a real pending schema."""
+
+    @pytest.fixture
+    def job(self, engine, table3):
+        with pending_add_column(engine, table3) as job:
+            yield job
+
+    def admitted_txn(self, engine, table):
+        txn = engine.begin()
+        engine.resolve_schema(txn, table)
+        assert table.table_id in txn.admitted
+        return txn
+
+    def test_migrated_equal_ts_proceeds(self, engine, table3, job):
         old_head = core_store.latest_committed(table3.live_array, 1)
         core_store.install_migrated(job.new_array, 1,
                                     old_head.payload + (0,),
                                     old_head.commit_ts)
-        txn = engine.begin()
-        assert overlap_check(txn, table3, 1, AccessMode.READ) \
-            is OverlapVerdict.PROCEED
-        table3.active_ddl = None
+        txn = self.admitted_txn(engine, table3)
+        assert engine.read(txn, table3, 1) == (1, 2, 3, 0)
+        engine.abort(txn)
 
-    def test_unmigrated_read_aborts(self, engine, table3):
-        job = self._pending_job(engine, table3)
-        txn = engine.begin()
-        assert overlap_check(txn, table3, 2, AccessMode.READ) \
-            is OverlapVerdict.ABORT
-        table3.active_ddl = None
+    def test_unmigrated_read_aborts(self, engine, table3, job):
+        txn = self.admitted_txn(engine, table3)
+        with pytest.raises(OverlapAbort):
+            engine.read(txn, table3, 2)
+        engine.abort(txn)
 
-    def test_updated_but_not_replayed_aborts(self, engine, table3):
-        job = self._pending_job(engine, table3)
+    def test_updated_but_not_replayed_aborts(self, engine, table3, job):
         old_head = core_store.latest_committed(table3.live_array, 3)
         # migrated at an old ts, then the old array moved ahead
         core_store.install_migrated(job.new_array, 3,
                                     old_head.payload + (0,), 1)
-        txn = engine.begin()
-        assert overlap_check(txn, table3, 3, AccessMode.READ) \
-            is OverlapVerdict.ABORT
-        table3.active_ddl = None
+        txn = self.admitted_txn(engine, table3)
+        with pytest.raises(OverlapAbort):
+            engine.read(txn, table3, 3)
+        engine.abort(txn)
 
-    def test_blind_write_always_proceeds(self, engine, table3):
-        self._pending_job(engine, table3)
-        txn = engine.begin()
-        assert overlap_check(txn, table3, 19, AccessMode.BLIND_WRITE) \
-            is OverlapVerdict.PROCEED
-        table3.active_ddl = None
+    def test_blind_write_always_proceeds(self, engine, table3, job):
+        txn = self.admitted_txn(engine, table3)
+        assert engine.write(txn, table3, 19, (19, 0, 0, 0))
+        engine.abort(txn)
 
     def test_pre_tpre_txn_uses_old(self, engine, table3):
         txn = engine.begin()  # begins before the job acquires t_pre
-        self._pending_job(engine, table3)
-        assert overlap_check(txn, table3, 0, AccessMode.READ) \
-            is OverlapVerdict.USE_OLD
-        table3.active_ddl = None
+        with pending_add_column(engine, table3):
+            assert engine.read(txn, table3, 0) == (0, 0, 0)
+            assert table3.table_id not in txn.admitted
+            engine.abort(txn)
 
 
 class TestLazyPolicy:
@@ -611,6 +636,25 @@ class TestCreateIndex:
         for key, rid in inserted:
             assert index.lookup(encode_key((key,))) == rid
 
+    @pytest.mark.parametrize("policy", [Policy.BLOCKING, Policy.RELAXED])
+    def test_deleted_row_does_not_hide_live_row_with_its_key(self, policy):
+        eng = Engine(locking_dml=(policy is Policy.BLOCKING))
+        try:
+            t = eng.create_table("ix4", INT3)
+            eng.load_rows(t, [(5, 0, 0), (5, 1, 1)])
+            txn = eng.begin()
+            assert eng.delete(txn, t, 0)
+            eng.commit(txn)
+            eng.drain_now()
+            spec = DdlSpec(kind=DdlOp.CREATE_INDEX, table="ix4",
+                           index_cols=("c0",))
+            res = execute_ddl(eng, spec, policy)
+            assert res.committed, res.reason
+            from evodb.txn import encode_key
+            assert t.indexes["primary"].snapshot() == {encode_key((5,)): 1}
+        finally:
+            eng.close()
+
     def test_duplicate_key_aborts(self, engine):
         t = engine.create_table("ix3", INT3)
         engine.load_rows(t, [(1, 0, 0), (1, 1, 1)])
@@ -621,6 +665,191 @@ class TestCreateIndex:
         assert res.status == "aborted"
         assert res.reason == "incompatible_data"
         assert "primary" not in t.indexes
+
+
+def c2_below(bound):
+    return ConstraintDef(ConstraintKind.COLUMN_VS_CONST, column="c2", op="<",
+                         const=bound)
+
+
+# one spec per DDL kind on t3 (20 rows (i, 2i, 3i)); "dim" and "lines" are
+# the join and preaggregate sources
+MATRIX = {
+    "add_column": add_col_spec(),
+    "drop_middle_column": DdlSpec(kind=DdlOp.DROP_COLUMN, table="t3",
+                                  drop_column="c1"),
+    "modify_column": DdlSpec(kind=DdlOp.MODIFY_COLUMN, table="t3",
+                             column=ColumnDef("c2", DType.FLOAT64)),
+    "add_constraint_pass": DdlSpec(kind=DdlOp.ADD_CONSTRAINT, table="t3",
+                                   constraints=(c2_below(1000),)),
+    "add_constraint_fail": DdlSpec(kind=DdlOp.ADD_CONSTRAINT, table="t3",
+                                   constraints=(c2_below(30),)),
+    "add_column_with_constraint": DdlSpec(
+        kind=DdlOp.ADD_COLUMN_WITH_CONSTRAINT, table="t3",
+        column=ColumnDef("c3", DType.INT64, default=5),
+        constraints=(ConstraintDef(ConstraintKind.COLUMN_VS_CONST,
+                                   column="c3", op="<", const=10),)),
+    "create_index": DdlSpec(kind=DdlOp.CREATE_INDEX, table="t3",
+                            index_cols=("c0",)),
+    "create_table_as": DdlSpec(kind=DdlOp.CREATE_TABLE_AS, table="t3",
+                               out_table="t3_as", select_cols=("c0", "c2")),
+    "split_table": DdlSpec(kind=DdlOp.SPLIT_TABLE, table="t3",
+                           out_split=(("t3_a", ("c0", "c1")),
+                                      ("t3_b", ("c0", "c2")))),
+    "join_table": DdlSpec(kind=DdlOp.JOIN_TABLE, table="t3",
+                          out_table="t3_join", source_table="dim",
+                          local_keys=("c0",), join_cols=("w",)),
+    "preaggregate": DdlSpec(kind=DdlOp.PREAGGREGATE, table="t3",
+                            column=ColumnDef("total", DType.FLOAT64,
+                                             default=0.0),
+                            source_table="lines", local_keys=("c0",),
+                            agg_source_col="amt"),
+}
+
+# kinds a policy rejects before touching anything
+UNSUPPORTED = {
+    Policy.BASIC: {"create_index", "create_table_as", "split_table",
+                   "join_table"},
+    Policy.LAZY: set(MATRIX) - {"add_column"},
+}
+
+
+def _tables_state(engine, tables):
+    """table name -> (quiescent rows, {index name: index contents})."""
+    return {t.name: (engine.materialize(t),
+                     {name: ix.snapshot() for name, ix in t.indexes.items()})
+            for t in tables}
+
+
+@functools.lru_cache(maxsize=None)
+def ddl_outcome(policy, name):
+    """(status, reason, state before, state after) of one matrix DDL run
+    with no concurrent DML; the state covers t3 and every table the DDL
+    produced."""
+    eng = Engine(locking_dml=(policy is Policy.BLOCKING))
+    try:
+        t = eng.create_table("t3", INT3)
+        eng.load_rows(t, ((i, 2 * i, 3 * i) for i in range(20)))
+        dim = eng.create_table("dim", [ColumnDef("k", DType.INT64, default=0),
+                                       ColumnDef("w", DType.INT64, default=0)],
+                               key_cols=("k",))
+        eng.load_rows(dim, ((k, 100 + k) for k in range(0, 20, 2)))
+        lines = eng.create_table(
+            "lines", [ColumnDef("k", DType.INT64, default=0),
+                      ColumnDef("n", DType.INT64, default=0),
+                      ColumnDef("amt", DType.FLOAT64, default=0.0)],
+            key_cols=("k", "n"))
+        eng.load_rows(lines, ((k, n, 1.5 * n) for k in range(5)
+                              for n in range(1, k + 1)))
+        eng.drain_now()
+        before = _tables_state(eng, [t])
+        res = execute_ddl(eng, MATRIX[name], policy)
+        if policy is Policy.LAZY and res.committed:
+            assert res.job.sweep_done.wait(timeout=10)
+        eng.quiesce()
+        after = _tables_state(eng, [t] + res.job.out_tables)
+        return res.status, res.reason, before, after
+    finally:
+        eng.close()
+
+
+class TestPolicyMatrix:
+    """Every DDL kind under every policy, compared at quiescence with the
+    blocking policy (no concurrent DML)."""
+
+    def test_blocking_outcomes(self):
+        for name in MATRIX:
+            status, reason, before, after = ddl_outcome(Policy.BLOCKING, name)
+            if name == "add_constraint_fail":
+                assert (status, reason) == ("aborted", "incompatible_data")
+                assert after == before
+            else:
+                assert status == "committed", (name, reason)
+        _, _, _, after = ddl_outcome(Policy.BLOCKING, "create_index")
+        assert len(after["t3"][1]["primary"]) == 20
+        _, _, _, after = ddl_outcome(Policy.BLOCKING, "split_table")
+        assert after["t3_a"][0][7] == (7, 14) and after["t3_b"][0][7] == (7, 21)
+
+    @pytest.mark.parametrize("name", list(MATRIX))
+    @pytest.mark.parametrize("policy", [Policy.BASIC, Policy.RELAXED,
+                                        Policy.LAZY])
+    def test_policy_matches_blocking(self, policy, name):
+        status, reason, before, after = ddl_outcome(policy, name)
+        if name in UNSUPPORTED.get(policy, ()):
+            assert (status, reason) == ("aborted",
+                                        f"unsupported_{policy.value}_kind")
+            assert after == before
+        else:
+            b_status, b_reason, _, expected = ddl_outcome(Policy.BLOCKING, name)
+            assert (status, reason) == (b_status, b_reason)
+            assert after == expected
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_add_column_ignores_constraints_it_does_not_add(self, policy):
+        """Rows loaded past a constraint the table was created with do not
+        stop a DDL that adds no constraint: a DDL verifies only its own."""
+        eng = Engine(locking_dml=(policy is Policy.BLOCKING))
+        try:
+            t = eng.create_table("tc", INT3, constraints=(c2_below(30),))
+            eng.load_rows(t, ((i, 2 * i, 3 * i) for i in range(20)))
+            eng.drain_now()
+            res = execute_ddl(eng, add_col_spec("tc"), policy)
+            assert res.committed, res.reason
+            if policy is Policy.LAZY:
+                assert res.job.sweep_done.wait(timeout=10)
+            eng.quiesce()
+            rows = eng.materialize(t)
+            assert rows[19] == (19, 38, 57, 0) and len(rows) == 20
+        finally:
+            eng.close()
+
+    def test_admitted_write_ignores_constraints_it_does_not_add(self,
+                                                                 engine):
+        """The same rule for a write admitted under the pending schema."""
+        t = engine.create_table("tc", INT3, constraints=(c2_below(30),))
+        engine.load_rows(t, ((i, 2 * i, 3 * i) for i in range(20)))
+        engine.drain_now()
+        with pending_add_column(engine, t) as job:
+            txn = engine.begin()
+            engine.resolve_schema(txn, t)
+            assert t.table_id in txn.admitted
+            assert engine.write(txn, t, 1, (1, 2, 99, 0))
+            assert not job.failed
+            engine.abort(txn)
+
+
+class TestBenchmarkHooks:
+    """The benchmark's traced run wraps ``ddl.transform_record``, samples
+    ``ddl.job_worker_pos`` for CDC lag and finds scan threads by their
+    target name; a hook that goes stale makes its metric read 0."""
+
+    def test_relaxed_scan_uses_module_hooks(self, engine, monkeypatch):
+        t = engine.create_table("hk", INT3)
+        engine.load_rows(t, ((i, i, i) for i in range(2000)))
+        engine.drain_now()
+        seen = {"calls": 0, "threads": set(), "pos": None}
+        real = ddl.transform_record
+
+        def counting(*args, **kwargs):
+            seen["calls"] += 1
+            seen["threads"].add(threading.current_thread().name)
+            if seen["pos"] is None:
+                seen["pos"] = list(ddl.job_worker_pos(t.active_ddl))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ddl, "transform_record", counting)
+        res = execute_ddl(engine, add_col_spec("hk"), Policy.RELAXED,
+                          scan_workers=1, cdc_workers=2)
+        assert res.committed
+        job = res.job
+        assert seen["calls"] >= job.scan_bound == 2000
+        assert seen["threads"] and \
+            all("_scan_worker" in name for name in seen["threads"])
+        # one position per CDC worker, advanced by the workers themselves
+        assert len(seen["pos"]) == 2
+        assert min(seen["pos"]) >= job.cdc_start_lsn
+        assert ddl.job_worker_pos(job) is job.worker_pos
+        assert min(job.worker_pos) >= job.cdc_end_lsn
 
 
 class TestDdlTextForm:
