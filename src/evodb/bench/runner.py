@@ -89,10 +89,7 @@ def run_workload(engine: Engine, cfg: WorkloadConfig,
                 one_txn(i, make_params(rng))
 
     def ddl_thread() -> None:
-        wake = t0 + cfg.ddl_start_sec
-        while not stop.is_set() and time.monotonic() < wake:
-            time.sleep(0.005)
-        if not stop.is_set():
+        if not stop.wait(t0 + cfg.ddl_start_sec - time.monotonic()):
             launch_ddl()
 
     rows: list[IntervalRow] = []

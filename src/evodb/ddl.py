@@ -56,6 +56,9 @@ from .txn import Engine, TxnContext, TxnStatus, encode_key
 INCOMPATIBLE = object()
 
 SCAN_CHUNK = 512
+# log records per CDC step: short enough (well under 1 ms of replay) to
+# fit between foreground threads' turns on the GIL, so CDC keeps up
+CDC_STEP = 128
 
 
 class Policy(Enum):
@@ -191,7 +194,7 @@ class DdlJob:
         self.outcome = outcome
         self.phase = Phase.DONE if outcome == "committed" else Phase.ABORTED
         self.resolved.set()
-        self.engine.kick_drainer()
+        self.engine.wake()
 
 
 class LookupContext:
@@ -811,14 +814,12 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
     job.chunk_started = bytearray((job.scan_bound + SCAN_CHUNK - 1) // SCAN_CHUNK)
     job.phase = Phase.SCANNING
 
-    drain_to_tail = plan.to_tail
     # index builds need ordered replay; a single change-data consumer
     ncdc = 1 if plan.index is not None else job.cdc_workers
     job.worker_pos = [job.cdc_start_lsn] * ncdc
     cdc_stop = threading.Event()
     cdc_threads = [
-        threading.Thread(target=_cdc_worker,
-                         args=(job, i, plan, cdc_stop, drain_to_tail),
+        threading.Thread(target=_cdc_worker, args=(job, i, plan, cdc_stop),
                          daemon=True)
         for i in range(ncdc)
     ]
@@ -833,9 +834,7 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
     for t in scan_threads:
         t.join()
     if job.failed:
-        cdc_stop.set()
-        for t in cdc_threads:
-            t.join()
+        _stop_cdc(job, cdc_stop, cdc_threads)
         return _abort_job(job, job.failure)
 
     # scan complete: acquire the pre-commit timestamp and expose the new
@@ -850,47 +849,29 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
                 engine.trace.emit(verifier.SCHEMA_PENDING, table=table.table_id,
                                   ts=t_pre, schema_version=new_schema.version_no,
                                   ncols=new_schema.ncols)
-        if not drain_to_tail:
+        if not plan.to_tail:
             job.cdc_end_lsn = engine.log.current_lsn()
         engine.clock.publish(t_pre)
     job.t_pre_published.set()
     job.phase = Phase.CDC
-
-    if drain_to_tail:
-        # let workers catch up with the live tail, then stop them at a
-        # snapshot; the finalize section drains the remainder inline
-        while not job.failed:
-            tail = engine.log.current_lsn()
-            if all(p >= tail for p in job.worker_pos):
-                break
-            time.sleep(0.001)
-        job.cdc_end_lsn = engine.log.current_lsn()
-    cdc_stop.set()
-    for t in cdc_threads:
-        t.join()
+    # workers replay up to cdc_end_lsn, or (index and new-table kinds) up
+    # to the live tail; the finalize section replays the remainder
+    _stop_cdc(job, cdc_stop, cdc_threads)
     if job.failed:
         return _abort_job(job, job.failure)
 
     # finalize
     job.phase = Phase.FINALIZING
     with engine._commit_mutex:
-        if drain_to_tail and not job.failed:
-            _drain_inline(job, plan, engine.log.current_lsn())
+        if plan.to_tail and not job.failed:
+            job.cdc_end_lsn = engine.log.current_lsn()
+            _replay_span(job, plan, min(job.worker_pos), job.cdc_end_lsn)
         if not job.failed:
-            cts = engine.clock.reserve()
-            txn.commit_ts = cts
-            for _tid, _arr, _rid, version in txn.write_set:
-                version.commit_ts = cts
+            job.commit_ts = engine.clock.reserve()
             if new_schema is not None:
-                engine.catalog.finalize_schema(table.table_id, cts)
+                engine.catalog.finalize_schema(table.table_id, job.commit_ts)
             plan.publish()
-            engine.log.append_commit(txn)
-            if engine.trace:
-                engine.trace.emit(verifier.COMMIT, txn=txn.txn_id, ts=cts)
-            txn.status = TxnStatus.PRE_COMMITTED
-            engine._enqueue_precommitted(txn)
-            job.commit_ts = cts
-            engine.clock.publish(cts)
+            engine._precommit(txn)
     if job.failed:
         return _abort_job(job, job.failure)
     _emit_schema_commit(job, new_schema, job.commit_ts)
@@ -911,25 +892,43 @@ def _scan_worker(job: DdlJob, idx: int, plan: _Plan) -> None:
     committed version of each record with its inherited timestamp.
 
     Foreground transaction threads keep their scheduler share; see
-    ``_ScanPacer``."""
-    with _ScanPacer(job) as pacer:
-        _scan_chunks(job, idx, plan, pacer)
+    ``_Pacer``."""
+    arr = job.old_array
+    apply = plan.apply
+    visits = 0
+    with _Pacer(job) as pacer:
+        for chunk in range(idx * SCAN_CHUNK, job.scan_bound,
+                           job.scan_workers * SCAN_CHUNK):
+            if job.failed:
+                break
+            pacer.pace()
+            job.chunk_started[chunk // SCAN_CHUNK] = 1
+            for rid in range(chunk, min(chunk + SCAN_CHUNK, job.scan_bound)):
+                visits += 1
+                if not arr.covers(rid):
+                    continue
+                v = core_store.latest_committed(arr, rid)
+                if v is not None:
+                    apply(rid, v)
+            with job._fail_lock:
+                job.scan_visits += visits
+                visits = 0
 
 
-class _ScanPacer:
-    """Keeps one scan worker within one thread's fair share of the CPU,
+class _Pacer:
+    """The one share rule for a job's scan and change-data-capture
+    workers: each keeps within one thread's fair share of the CPU,
     1/(n + w), while foreground transactions are active. n is the most
-    transactions other than the DDL's own seen active since the scan
+    transactions other than the DDL's own seen active since the worker
     began (or last ran alone): a thread between two transactions still
     wants the CPU. w counts the engine's commit drainer and the job's
-    scan and change-data-capture workers. The worker earns CPU budget at
-    its share of the wall time, pays for the CPU time it uses, and
-    sleeps between chunks while in debt. With no other transaction
-    active it runs unpaced and owes nothing.
+    workers. A worker earns CPU budget at its share of the wall time,
+    pays for the CPU time it uses, and sleeps between steps while in
+    debt. With no other transaction active it runs unpaced.
 
     CPU time is the thread's own, so the rule holds however the GIL is
     handed over (DML threads blocked on the commit mutex hand it straight
-    back to the scan, which defeats a fixed yield per chunk). Full
+    back to the worker, which defeats a fixed yield per step). Full
     collections the worker happens to trigger walk the whole heap; they
     are not charged to it."""
 
@@ -943,7 +942,7 @@ class _ScanPacer:
         self._gc_start = 0.0
         self._wall, self._cpu = time.monotonic(), time.thread_time()
 
-    def __enter__(self) -> "_ScanPacer":
+    def __enter__(self) -> "_Pacer":
         gc.callbacks.append(self._on_gc)
         return self
 
@@ -976,73 +975,47 @@ class _ScanPacer:
         self._wall, self._cpu = wall, cpu
 
 
-def _scan_chunks(job: DdlJob, idx: int, plan: _Plan,
-                 pacer: _ScanPacer) -> None:
-    arr = job.old_array
-    apply = plan.apply
-    visits = 0
-    for chunk in range(idx * SCAN_CHUNK, job.scan_bound,
-                       job.scan_workers * SCAN_CHUNK):
-        if job.failed:
-            break
-        pacer.pace()
-        job.chunk_started[chunk // SCAN_CHUNK] = 1
-        for rid in range(chunk, min(chunk + SCAN_CHUNK, job.scan_bound)):
-            visits += 1
-            if not arr.covers(rid):
-                continue
-            v = core_store.latest_committed(arr, rid)
-            if v is not None:
-                apply(rid, v)
-        with job._fail_lock:
-            job.scan_visits += visits
-            visits = 0
+def _stop_cdc(job: DdlJob, stop: threading.Event,
+              threads: list[threading.Thread]) -> None:
+    """Let the change-data-capture workers return once caught up."""
+    stop.set()
+    job.engine.log.wake()
+    for t in threads:
+        t.join()
 
 
 def _cdc_worker(job: DdlJob, idx: int, plan: _Plan,
-                stop: threading.Event, drain_to_tail: bool) -> None:
+                stop: threading.Event) -> None:
     """Consume the redo log from the job's bookmark, transforming and
     installing concurrent updates (newest-wins, stale replays discarded).
-    Runs concurrently with the scan phase."""
-    engine = job.engine
+    Works in steps of CDC_STEP log records, each awaited in
+    ``RedoLog.wait_for_tail`` and, until ``t_pre``, paced by the scan's
+    share rule (``_Pacer``). Stopped right after ``t_pre``, it replays the
+    rest unpaced: admitted transactions wait on it."""
+    log = job.engine.log
     nworkers = len(job.worker_pos)
     pos = job.cdc_start_lsn
-    while True:
-        end = job.cdc_end_lsn
-        tail = engine.log.current_lsn()
-        bound = tail if end is None else min(end, tail)
-        progressed = False
-        consumed = 0
-        while pos < bound:
-            rec = engine.log.record(pos)
-            pos += 1
-            progressed = True
-            consumed += 1
-            if consumed % 256 == 0 and job.t_pre is None:
-                # while overlapped with the scan, keep foreground threads
-                # scheduled; after t_pre, completion speed gates admitted
-                # transactions and runs unthrottled
-                time.sleep(0.0008)
-            if rec.table_id != job.table.table_id or rec.lsn % nworkers != idx:
-                continue
-            if job.t_pre is not None and not drain_to_tail \
-                    and rec.commit_ts > job.t_pre:
-                continue
-            if rec.rid < job.scan_bound \
-                    and not job.chunk_started[rec.rid // SCAN_CHUNK]:
-                continue  # an unstarted scan chunk will migrate it fresher
-            _replay_record(job, rec, plan)
+    with _Pacer(job) as pacer:
+        while True:
+            if job.t_pre is None:
+                pacer.pace()
+            # the tail first: cdc_end_lsn, once set, is at least this tail,
+            # so nothing committed after t_pre is replayed
+            bound = min(log.current_lsn(), pos + CDC_STEP)
+            end = job.cdc_end_lsn
+            if end is not None:
+                bound = min(bound, end)
+            _replay_span(job, plan, pos, bound, idx, nworkers)
             if job.failed:
-                break
-        job.worker_pos[idx] = pos
-        if job.failed:
-            return
-        if end is not None and pos >= end:
-            return
-        if stop.is_set() and not progressed and pos >= engine.log.current_lsn():
-            return
-        if not progressed:
-            time.sleep(0.0005)
+                return
+            job.worker_pos[idx] = pos = bound
+            if end is not None and pos >= end:
+                return
+            # a step starts once a whole one is logged (not on every
+            # commit), or when the coordinator stops CDC
+            log.wait_for_tail(pos + CDC_STEP, stop)
+            if log.current_lsn() <= pos:
+                return  # stopped and caught up
 
 
 def _replay_record(job: DdlJob, rec, plan: _Plan) -> None:
@@ -1076,15 +1049,16 @@ def _replay_record(job: DdlJob, rec, plan: _Plan) -> None:
                 return
 
 
-def _drain_inline(job: DdlJob, plan: _Plan, tail: int) -> None:
-    """Consume any log remainder inside the finalize critical section
-    (index builds and new-table kinds publish an up-to-the-tail state)."""
-    pos = min(job.worker_pos, default=job.cdc_start_lsn)
-    engine = job.engine
-    while pos < tail:
-        rec = engine.log.record(pos)
-        pos += 1
-        if rec.table_id != job.table.table_id:
+def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
+                 idx: int = 0, nworkers: int = 1) -> None:
+    """Replay worker ``idx``'s share of the table's log records in
+    [start, end), skipping records an unstarted scan chunk will migrate
+    fresher (CDC steps, and the to-the-tail finalize of some kinds)."""
+    for rec in job.engine.log.scan(start, job.table.table_id, end_lsn=end):
+        if rec.lsn % nworkers != idx:
+            continue
+        if rec.rid < job.scan_bound \
+                and not job.chunk_started[rec.rid // SCAN_CHUNK]:
             continue
         _replay_record(job, rec, plan)
         if job.failed:

@@ -31,17 +31,20 @@ class RedoLog:
     """Multi-producer append buffer with lock-free indexed reads.
 
     Scans tail-follow: records appended while an iterator is live are
-    yielded if they fall inside the requested bounds.
+    yielded if they fall inside the requested bounds. A caught-up reader
+    waits in ``wait_for_tail``, woken by the append that reaches the
+    length it asked for rather than by every commit.
     """
 
     def __init__(self) -> None:
         self._records: list[LogRecord] = []
-        self._lock = threading.Lock()
+        self._grown = threading.Condition(threading.Lock())
+        self._wake_at: Optional[Lsn] = None  # lowest length a reader awaits
 
     def append_commit(self, txn) -> Lsn:
         """Append one record per write-set entry; returns the first LSN of
         the batch (or the current tail for an empty write set)."""
-        with self._lock:
+        with self._grown:
             base = len(self._records)
             for table_id, rid, version in txn.iter_log_writes():
                 self._records.append(LogRecord(
@@ -52,7 +55,23 @@ class RedoLog:
                     commit_ts=version.commit_ts,
                     txn_id=txn.txn_id,
                 ))
+            if self._wake_at is not None and len(self._records) >= self._wake_at:
+                self._wake_at = None
+                self._grown.notify_all()
             return base
+
+    def wait_for_tail(self, length: Lsn, stop: threading.Event) -> None:
+        """Block until the log holds ``length`` records or ``stop`` is set;
+        whoever sets ``stop`` then calls ``wake``."""
+        with self._grown:
+            while not (stop.is_set() or len(self._records) >= length):
+                if self._wake_at is None or length < self._wake_at:
+                    self._wake_at = length
+                self._grown.wait()
+
+    def wake(self) -> None:
+        with self._grown:
+            self._grown.notify_all()
 
     def current_lsn(self) -> Lsn:
         """Tail LSN: total records appended so far."""
@@ -69,14 +88,15 @@ class RedoLog:
         Filters by ``table_id`` when given. Stops at ``end_lsn`` when
         given, else at the momentary tail; also stops early at the first
         record with commit_ts > upto_ts, which is sound because appends
-        are timestamp-ordered.
+        are timestamp-ordered. Every record is fetched through ``record``,
+        so a wrapper on it sees each read.
         """
         i = start
         while True:
             bound = len(self._records) if end_lsn is None else min(end_lsn, len(self._records))
             if i >= bound:
                 return
-            rec = self._records[i]
+            rec = self.record(i)
             i += 1
             if upto_ts is not None and rec.commit_ts > upto_ts:
                 return

@@ -11,6 +11,14 @@ Pre-committed transactions drain from a pipelined commit queue in
 timestamp order on a dedicated drainer thread; entries carrying a
 barrier on an in-flight schema-evolution job wait for it to resolve and
 abort if the job aborts while they depended on its pending schema.
+
+Nothing polls: the drainer and ``wait_for``/``drain_now``/``quiesce``
+wait on one condition, ``Engine._queue_cv``. Every commit notifies it,
+as does a DDL job resolving and, while one of those three calls waits,
+a finalized batch and the last active transaction ending. Their
+timeouts are deadlines only. Change-data-capture workers wait on the
+redo log instead (``RedoLog.wait_for_tail``), which wakes them once a
+whole step is logged rather than on every commit.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import itertools
 import struct
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator, Optional
@@ -129,7 +136,6 @@ class TxnContext:
 @dataclass
 class _QueueEntry:
     txn: TxnContext
-    pre_commit_ts: Timestamp
     barriers: frozenset
 
 
@@ -168,6 +174,8 @@ class Engine:
         self._active_lock = threading.Lock()
         self._queue: list[_QueueEntry] = []
         self._queue_cv = threading.Condition()
+        self._draining = False  # a popped batch is being finalized
+        self._waiting = 0  # callers blocked in wait_for/drain_now/quiesce
         self._closed = False
         self._drainer = threading.Thread(target=self._drain_loop,
                                          name="commit-drainer", daemon=True)
@@ -447,25 +455,9 @@ class Engine:
                 self._derive_index_ops(txn)
                 if self._apply_index_ops(txn):
                     txn.abort_reason = "duplicate_key"
-            if txn.abort_reason is not None:
-                failed = True
-            else:
-                failed = False
-                cts = self.clock.reserve()
-                txn.commit_ts = cts
-                for _tid, _arr, _rid, version in txn.write_set:
-                    version.commit_ts = cts
-                self.log.append_commit(txn)
-                if self.trace:
-                    self.trace.emit(verifier.COMMIT, txn=txn.txn_id, ts=cts)
-                txn.status = TxnStatus.PRE_COMMITTED
-                entry = _QueueEntry(txn, cts, barriers)
-                with self._queue_cv:
-                    self._queue.append(entry)
-                    self._queue_cv.notify_all()
-                # publish last: begins obtaining a timestamp that admits
-                # these versions can only exist once they are stamped
-                self.clock.publish(cts)
+            failed = txn.abort_reason is not None
+            if not failed:
+                self._precommit(txn, barriers)
         if failed:
             self._abort_internal(txn)
             return TxnStatus.ABORTED
@@ -562,32 +554,41 @@ class Engine:
     def _deactivate(self, txn: TxnContext) -> None:
         with self._active_lock:
             self._active.pop(txn.txn_id, None)
+            idle = not self._active
+        # a waiter counts itself before it reads _active, so it either
+        # sees this removal or is seen here
+        if idle and self._waiting:
+            self.wake()
 
     # -- pipelined commit queue ---------------------------------------------
 
     def _drain_loop(self) -> None:
+        cv = self._queue_cv
+        batch: list[_QueueEntry] = []
         while True:
-            batch: list[_QueueEntry] = []
-            with self._queue_cv:
-                while not self._closed and not self._drainable():
-                    self._queue_cv.wait(timeout=0.05)
-                if self._closed and not self._queue:
-                    return
-                n = 0
-                while n < len(self._queue) and all(
-                        job.resolved.is_set()
-                        for job in self._queue[n].barriers):
-                    n += 1
+            with cv:
+                if batch:
+                    self._draining = False
+                    if self._waiting:
+                        cv.notify_all()
+                while not (n := self._drainable()):
+                    if self._closed and not self._queue:
+                        return
+                    cv.wait()
                 batch = self._queue[:n]
                 del self._queue[:n]
+                self._draining = True
             for entry in batch:
                 self._finalize_entry(entry)
 
-    def _drainable(self) -> bool:
-        if not self._queue:
-            return False
-        head = self._queue[0]
-        return all(job.resolved.is_set() for job in head.barriers)
+    def _drainable(self) -> int:
+        """Length of the queue's prefix whose barriers have all resolved."""
+        n = 0
+        for entry in self._queue:
+            if not all(job.resolved.is_set() for job in entry.barriers):
+                break
+            n += 1
+        return n
 
     def _finalize_entry(self, entry: _QueueEntry) -> None:
         txn = entry.txn
@@ -611,54 +612,57 @@ class Engine:
             else:
                 index.insert(key, rid)
 
-    def kick_drainer(self) -> None:
+    def wake(self) -> None:
+        """Notify everything waiting on the engine's condition."""
         with self._queue_cv:
             self._queue_cv.notify_all()
 
-    def _enqueue_precommitted(self, txn: TxnContext,
-                              barriers: frozenset = frozenset()) -> None:
-        """Queue a transaction whose commit section ran outside
-        ``commit()`` (the relaxed DDL finalize path)."""
-        entry = _QueueEntry(txn, txn.commit_ts, barriers)
+    def _precommit(self, txn: TxnContext,
+                   barriers: frozenset = frozenset()) -> None:
+        """Stamp, log and queue ``txn`` at the reserved timestamp, then
+        publish it. The caller holds the commit mutex (``commit()`` and
+        the relaxed DDL finalize path)."""
+        cts = self.clock.reserve()
+        txn.commit_ts = cts
+        for _tid, _arr, _rid, version in txn.write_set:
+            version.commit_ts = cts
+        self.log.append_commit(txn)
+        if self.trace:
+            self.trace.emit(verifier.COMMIT, txn=txn.txn_id, ts=cts)
+        txn.status = TxnStatus.PRE_COMMITTED
         with self._queue_cv:
-            self._queue.append(entry)
+            self._queue.append(_QueueEntry(txn, barriers))
             self._queue_cv.notify_all()
+        # publish last: begins obtaining a timestamp that admits these
+        # versions can only exist once they are stamped
+        self.clock.publish(cts)
+
+    def _wait(self, ready, timeout: float, what: str) -> None:
+        with self._queue_cv:
+            self._waiting += 1
+            try:
+                if not self._queue_cv.wait_for(ready, timeout):
+                    raise TimeoutError(what)
+            finally:
+                self._waiting -= 1
 
     def wait_for(self, txn: TxnContext, timeout: float = 30.0) -> TxnStatus:
         """Block until the transaction's queue entry drains."""
-        deadline = time.monotonic() + timeout
-        while txn.status is TxnStatus.PRE_COMMITTED:
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"txn {txn.txn_id} stuck pre-committed")
-            time.sleep(0.001)
+        self._wait(lambda: txn.status is not TxnStatus.PRE_COMMITTED, timeout,
+                   f"txn {txn.txn_id} stuck pre-committed")
         return txn.status
 
     def drain_now(self, timeout: float = 30.0) -> None:
-        """Wait for the queue to empty (barriers must be resolvable)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._queue_cv:
-                if not self._queue:
-                    return
-                self._queue_cv.notify_all()
-            if time.monotonic() > deadline:
-                raise TimeoutError("commit queue did not drain")
-            time.sleep(0.001)
+        """Wait until the queue is empty and finalized (barriers must resolve)."""
+        self._wait(lambda: not self._queue and not self._draining, timeout,
+                   "commit queue did not drain")
 
     def quiesce(self, timeout: float = 30.0) -> None:
-        """Wait until no transaction is active and the queue is empty;
-        after this, superseded arrays/versions are reclaimable (the
-        minimal epoch scheme used at desk scale)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._active_lock:
-                idle = not self._active
-            if idle:
-                break
-            if time.monotonic() > deadline:
-                raise TimeoutError("active transactions did not quiesce")
-            time.sleep(0.001)
-        self.drain_now(timeout=timeout)
+        """Wait until no transaction is active and every queued entry is
+        finalized; after this, superseded arrays/versions are reclaimable
+        (the minimal epoch scheme used at desk scale)."""
+        self._wait(lambda: not (self._active or self._queue or self._draining),
+                   timeout, "engine did not quiesce")
 
     def oldest_active_begin(self) -> Optional[Timestamp]:
         with self._active_lock:

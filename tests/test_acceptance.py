@@ -28,7 +28,7 @@ from evodb import (
     Engine,
     TxnStatus,
 )
-from evodb import core_store
+from evodb import core_store, ddl
 from evodb.bench.config import WorkloadConfig
 from evodb.bench.micro import run_micro
 from evodb.bench.tpcc import index_matches_full_scan, run_tpccd
@@ -386,7 +386,7 @@ def test_criterion_06_migration_completeness_ts_inheritance():
     assert ok
 
 
-def test_criterion_07_cdc_boundary():
+def test_criterion_07_cdc_boundary(monkeypatch):
     rows = 20_000
     trace = Trace()
     engine = Engine(trace=trace)
@@ -397,9 +397,20 @@ def test_criterion_07_cdc_boundary():
                                    scan_workers=1, cdc_workers=1)
 
     # a catcher thread waits for the pending window and commits one blind
-    # write under the not-yet-final schema
+    # write under the not-yet-final schema; the DDL holds the window open
+    # until it has (for at most 10 s), so the outcome does not hang on
+    # which thread the scheduler runs in a window under a millisecond long
     done = threading.Event()
     caught = []
+    caught_evt = threading.Event()
+    real_stop_cdc = ddl._stop_cdc
+
+    def stop_cdc_after_catch(job, stop, threads):
+        if job.t_pre is not None:
+            caught_evt.wait(10)
+        real_stop_cdc(job, stop, threads)
+
+    monkeypatch.setattr(ddl, "_stop_cdc", stop_cdc_after_catch)
 
     def pending_catcher():
         job = None
@@ -417,6 +428,7 @@ def test_criterion_07_cdc_boundary():
                 if engine.write(txn, table, 3, (3, 777, 777, 0)) \
                         and engine.commit(txn) is not TxnStatus.ABORTED:
                     caught.append(txn.txn_id)
+                    caught_evt.set()
                     return
             engine.abort(txn)
 

@@ -851,6 +851,37 @@ class TestBenchmarkHooks:
         assert ddl.job_worker_pos(job) is job.worker_pos
         assert min(job.worker_pos) >= job.cdc_end_lsn
 
+    def test_cdc_reads_the_log_through_record(self, engine, monkeypatch):
+        """The traced run times change-data-capture reads by wrapping
+        ``engine.log.record`` on the instance."""
+        t = engine.create_table("hk2", INT3)
+        engine.load_rows(t, ((i, i, i) for i in range(2000)))
+        engine.drain_now()
+        readers = []
+        real_record = engine.log.record
+
+        def counting_record(lsn):
+            readers.append(threading.current_thread().name)
+            return real_record(lsn)
+
+        engine.log.record = counting_record
+        real = ddl.transform_record
+        updated = []
+
+        def update_once(*args, **kwargs):
+            # one committed update while the scan runs gives CDC a record
+            if not updated:
+                txn = engine.begin()
+                assert engine.write(txn, t, 0, (0, 9, 9))
+                updated.append(engine.commit(txn))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ddl, "transform_record", update_once)
+        res = execute_ddl(engine, add_col_spec("hk2"), Policy.RELAXED)
+        assert res.committed and updated[0] is not TxnStatus.ABORTED
+        assert res.job.cdc_end_lsn > res.job.cdc_start_lsn
+        assert any("_cdc_worker" in name for name in readers)
+
 
 class TestDdlTextForm:
     def test_parse_add_column_line(self):

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -179,38 +180,7 @@ class TestPipelinedQueue:
     def test_admitted_txn_aborts_when_ddl_aborts(self, engine):
         """A transaction admitted under a pending schema is barriered and
         aborts if the job is revoked."""
-        from evodb.ddl import DdlJob
-        t = engine.create_table("b2", INT3)
-        engine.load_rows(t, ((i, i, i) for i in range(5)))
-        engine.drain_now()
-        # hand-drive a job to control the abort timing
-        spec = DdlSpec(kind=DdlOp.ADD_COLUMN, table="b2",
-                       column=ColumnDef("c3", DType.INT64, default=0))
-        job = DdlJob(engine, spec, Policy.RELAXED, 1, 1)
-        job.table = t
-        ddl_txn = engine.begin()
-        job.txn = ddl_txn
-        old = engine.catalog.latest_committed_schema(t.table_id)
-        job.old_schema = old
-        job.old_array = t.live_array
-        from evodb.ddl import build_new_schema
-        job.new_array = core_store.IndirectionArray()
-        new_schema = build_new_schema(old, spec, job.new_array)
-        assert engine.catalog.install_schema_version(ddl_txn, t.table_id,
-                                                     new_schema)
-        job.pending_schema = new_schema
-        t.active_ddl = job
-        with engine._commit_mutex:
-            job.t_pre = engine.clock.advance()
-            engine.catalog.set_pending(t.table_id, job.t_pre)
-
-        victim = engine.begin()
-        got = engine.resolve_schema(victim, t)
-        assert got is not None and t.table_id in victim.admitted
-        assert engine.write(victim, t, 0, (0, 1, 1, 0))
-        status = engine.commit(victim)
-        assert status is TxnStatus.PRE_COMMITTED  # waiting on the barrier
-
+        t, job, ddl_txn, victim = _barriered_commit(engine, "b2")
         # now the DDL aborts: revoke and resolve
         with engine._commit_mutex:
             engine.catalog.revoke_pending(t.table_id)
@@ -218,6 +188,76 @@ class TestPipelinedQueue:
         engine._abort_internal(ddl_txn)
         job.resolve("aborted")
         assert engine.wait_for(victim) is TxnStatus.ABORTED
+
+    def test_drain_now_waits_for_finalize(self, engine, table3):
+        """drain_now, quiesce and wait_for return only after the drained
+        entries are finalized, not when the drainer pops them."""
+        real = engine._finalize_entry
+
+        def slow(entry):
+            time.sleep(0.05)
+            real(entry)
+
+        engine._finalize_entry = slow
+        for name in ("drain_now", "quiesce", "wait_for"):
+            txn = engine.begin()
+            engine.write(txn, table3, 0, (0, 1, 2))
+            assert engine.commit(txn) is TxnStatus.PRE_COMMITTED
+            getattr(engine, name)(*((txn,) if name == "wait_for" else ()))
+            assert txn.status is TxnStatus.COMMITTED, name
+
+    def test_close_waits_without_spinning_on_barriered_head(self, engine):
+        """close() while the queue head waits on an unresolved job: the
+        drainer sleeps until the job resolves, then finalizes the entry
+        and exits."""
+        t, job, _ddl_txn, victim = _barriered_commit(engine, "b3")
+        closer = threading.Thread(target=engine.close)
+        cpu0 = time.process_time()
+        closer.start()
+        time.sleep(0.3)
+        assert time.process_time() - cpu0 < 0.1
+        assert closer.is_alive() and victim.status is TxnStatus.PRE_COMMITTED
+        job.resolve("committed")
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        assert not engine._drainer.is_alive()
+        assert victim.status is TxnStatus.COMMITTED
+
+    def test_waits_wake_under_contention(self, engine, table3):
+        """Committers, wait_for, drain_now and quiesce race on the one
+        condition with a tiny switch interval: no wakeup is lost, and
+        drain_now leaves nothing that committed before it unfinalized."""
+        queued = []
+
+        def worker(i):
+            for k in range(200):
+                txn = engine.begin()
+                assert engine.write(txn, table3, i, (i, k, k))
+                assert engine.commit(txn) is not TxnStatus.ABORTED
+                queued.append(txn)
+                if k % 10 == 0:
+                    assert engine.wait_for(txn, timeout=5) \
+                        is TxnStatus.COMMITTED
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for th in threads:
+                th.start()
+            while any(th.is_alive() for th in threads):
+                before = list(queued)
+                engine.drain_now(timeout=5)
+                assert all(t.status is TxnStatus.COMMITTED for t in before)
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            engine.quiesce(timeout=5)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(queued) == 800
+        assert all(t.status is TxnStatus.COMMITTED for t in queued)
 
     def test_empty_queue_drain_noop(self, engine):
         engine.drain_now()
@@ -248,3 +288,39 @@ class TestBlockingLockMode:
             th.join()
         finally:
             eng.close()
+
+
+def _barriered_commit(engine, name):
+    """Hand-drive a relaxed add_column up to its pending schema and commit
+    one transaction admitted under it. Returns ``(table, job, ddl_txn,
+    victim)``; the victim stays pre-committed until the job resolves."""
+    from evodb.ddl import DdlJob, build_new_schema
+    t = engine.create_table(name, INT3)
+    engine.load_rows(t, ((i, i, i) for i in range(5)))
+    engine.drain_now()
+    spec = DdlSpec(kind=DdlOp.ADD_COLUMN, table=name,
+                   column=ColumnDef("c3", DType.INT64, default=0))
+    job = DdlJob(engine, spec, Policy.RELAXED, 1, 1)
+    job.table = t
+    ddl_txn = engine.begin()
+    job.txn = ddl_txn
+    old = engine.catalog.latest_committed_schema(t.table_id)
+    job.old_schema = old
+    job.old_array = t.live_array
+    job.new_array = core_store.IndirectionArray()
+    new_schema = build_new_schema(old, spec, job.new_array)
+    assert engine.catalog.install_schema_version(ddl_txn, t.table_id,
+                                                 new_schema)
+    job.pending_schema = new_schema
+    t.active_ddl = job
+    with engine._commit_mutex:
+        job.t_pre = engine.clock.advance()
+        engine.catalog.set_pending(t.table_id, job.t_pre)
+
+    victim = engine.begin()
+    got = engine.resolve_schema(victim, t)
+    assert got is not None and t.table_id in victim.admitted
+    assert engine.write(victim, t, 0, (0, 1, 1, 0))
+    status = engine.commit(victim)
+    assert status is TxnStatus.PRE_COMMITTED  # waiting on the barrier
+    return t, job, ddl_txn, victim
