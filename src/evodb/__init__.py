@@ -7,7 +7,6 @@ from .catalog import (
     ColumnDef,
     ConstraintDef,
     ConstraintKind,
-    DdlKind,
     SchemaState,
     SchemaVersion,
 )
@@ -36,7 +35,7 @@ from .verifier import Trace, check_si_history, parse_trace, serial_replay
 
 __all__ = [
     "CATALOG_TABLE_ID", "Catalog", "ColumnDef", "ConstraintDef",
-    "ConstraintKind", "DdlKind", "SchemaState", "SchemaVersion",
+    "ConstraintKind", "SchemaState", "SchemaVersion",
     "TOMBSTONE", "DType", "IndirectionArray", "KeyIndex", "TableHandle",
     "Version", "is_tombstone",
     "DdlOp", "DdlResult", "DdlSpec", "Policy", "execute_ddl",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import WorkloadConfig, apply_kv, load_config_file
+from .config import WorkloadConfig, load_config_file
 from .micro import run_micro
 from .series import emit
 from .tpcc import run_tpccd
@@ -26,7 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--rows", type=int)
         s.add_argument("--warehouses", type=int)
         s.add_argument("--dml-threads", type=int, dest="dml_threads")
-        s.add_argument("--ddl-threads", type=int, dest="ddl_threads")
         s.add_argument("--scan-threads", type=int, dest="scan_threads")
         s.add_argument("--cdc-threads", type=int, dest="cdc_threads")
         s.add_argument("--ddl", default=None, dest="ddl_op")
@@ -39,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--retry-aborts", action="store_true", default=None,
                        dest="retry_aborts")
         s.add_argument("--out", default=None)
-        s.add_argument("--dump-log", default="", dest="dump_log",
-                       help="write a binary redo-log dump for debugging")
     return p
 
 
@@ -48,10 +45,10 @@ def config_from_args(args: argparse.Namespace) -> WorkloadConfig:
     cfg = WorkloadConfig(benchmark=args.benchmark)
     if args.config:
         cfg, _ddl_lines = load_config_file(args.config, cfg)
-    for key in ("rows", "warehouses", "dml_threads", "ddl_threads",
-                "scan_threads", "cdc_threads", "ddl_op", "policy",
-                "ddl_start_sec", "duration_sec", "interval_ms", "seed",
-                "txn_limit", "retry_aborts", "out", "dump_log"):
+    for key in ("rows", "warehouses", "dml_threads", "scan_threads",
+                "cdc_threads", "ddl_op", "policy", "ddl_start_sec",
+                "duration_sec", "interval_ms", "seed", "txn_limit",
+                "retry_aborts", "out"):
         val = getattr(args, key, None)
         if val is not None and val != "":
             setattr(cfg, key, val)

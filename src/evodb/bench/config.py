@@ -6,8 +6,7 @@ threads) are reachable through the same knobs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -17,9 +16,8 @@ class WorkloadConfig:
     rows: int = 1_000_000               # micro preload size
     warehouses: int = 2
     dml_threads: int = 4
-    ddl_threads: int = 2
-    scan_threads: Optional[int] = None  # default split: ceil(3w/8) scan
-    cdc_threads: Optional[int] = None
+    scan_threads: int = 1
+    cdc_threads: int = 1
     ddl_op: str = ""                    # empty = NoDDL baseline
     ddl_start_sec: float = 2.0
     duration_sec: float = 10.0
@@ -37,18 +35,11 @@ class WorkloadConfig:
     # micro add_constraint threshold; None = seeded default that passes
     constraint_threshold: Optional[int] = None
     stop_after_ddl: bool = False
-    dump_log: str = ""  # write a binary redo-log dump here (debugging)
-
-    def worker_split(self) -> tuple[int, int]:
-        if self.scan_threads is not None:
-            return self.scan_threads, self.cdc_threads or 1
-        scan = max(1, math.ceil(3 * self.ddl_threads / 8))
-        return scan, max(1, self.ddl_threads - scan)
 
 
 _BOOL_FIELDS = {"retry_aborts", "stop_after_ddl"}
 _FLOAT_FIELDS = {"ddl_start_sec", "duration_sec"}
-_STR_FIELDS = {"benchmark", "ddl_op", "policy", "out", "dump_log"}
+_STR_FIELDS = {"benchmark", "ddl_op", "policy", "out"}
 
 
 def apply_kv(cfg: WorkloadConfig, key: str, value: str) -> None:

@@ -97,17 +97,15 @@ def run_micro(cfg: WorkloadConfig, *, engine: Optional[Engine] = None,
     ddl_launcher = None
     if cfg.ddl_op:
         spec = micro_ddl_spec(cfg)
-        scan_w, cdc_w = cfg.worker_split()
         policy = Policy(cfg.policy)
 
         def ddl_launcher() -> DdlResult:
             return execute_ddl(engine, spec, policy,
-                               scan_workers=scan_w, cdc_workers=cdc_w)
+                               scan_workers=cfg.scan_threads,
+                               cdc_workers=cfg.cdc_threads)
 
     series = run_workload(engine, cfg, make_params, exec_txn, ddl_launcher)
     series.extra["final_rows"] = engine.materialize(table)
-    if cfg.dump_log:
-        engine.log.dump_binary(cfg.dump_log)
     if own_engine:
         engine.close()
     else:

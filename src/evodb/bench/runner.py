@@ -121,8 +121,8 @@ def run_workload(engine: Engine, cfg: WorkloadConfig,
     if ddl_launcher is not None and not cfg.txn_limit:
         ddl_t = threading.Thread(target=ddl_thread, daemon=True)
 
-    # versions/log records are acyclic and reclaimed by refcounting;
-    # cyclic-GC pauses would otherwise dominate interval jitter
+    # nothing frees versions or log records, so every full collection
+    # walks all of them; its pauses would dominate interval jitter
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

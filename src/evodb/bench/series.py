@@ -42,9 +42,6 @@ class ThroughputSeries:
         vals = self.ddl_interval_commits()
         return float(min(vals)) if vals else float("nan")
 
-    def post_ddl_commits(self) -> list[int]:
-        return [r.commits for r in self.rows if r.phase == "post"]
-
     def ddl_duration_ms(self) -> Optional[int]:
         if self.ddl_start_ms is None or self.ddl_commit_ms is None:
             return None

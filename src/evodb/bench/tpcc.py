@@ -14,10 +14,9 @@ from __future__ import annotations
 import random
 from typing import Any, Optional
 
-from .. import core_store
 from ..catalog import ColumnDef, ConstraintDef, ConstraintKind, SchemaVersion
 from ..core_store import DType
-from ..ddl import DdlOp, DdlResult, DdlSpec, LookupContext, Policy, execute_ddl
+from ..ddl import DdlOp, DdlResult, DdlSpec, Policy, execute_ddl
 from ..txn import Engine, OverlapAbort, TxnStatus, encode_key
 from .config import WorkloadConfig
 from .runner import run_workload
@@ -475,18 +474,16 @@ def run_tpccd(cfg: WorkloadConfig, *, engine: Optional[Engine] = None,
     ddl_launcher = None
     if cfg.ddl_op:
         spec = tpccd_ddl_spec(cfg)
-        scan_w, cdc_w = cfg.worker_split()
         policy = Policy(cfg.policy)
 
         def ddl_launcher() -> DdlResult:
             return execute_ddl(engine, spec, policy,
-                               scan_workers=scan_w, cdc_workers=cdc_w)
+                               scan_workers=cfg.scan_threads,
+                               cdc_workers=cfg.cdc_threads)
 
     series = run_workload(engine, cfg, workload.make_params,
                           workload.exec_txn, ddl_launcher)
     series.extra["db"] = db
-    if cfg.dump_log:
-        engine.log.dump_binary(cfg.dump_log)
     if own_engine and not series.extra.get("keep_engine"):
         series.extra["final"] = snapshot_logical(db)
         engine.close()

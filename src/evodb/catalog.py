@@ -8,7 +8,7 @@ same visibility protocol as data reads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
@@ -30,13 +30,6 @@ CATALOG_TABLE_ID = 0
 class SchemaState(Enum):
     COMMITTED = "committed"
     PENDING = "pending"
-
-
-class DdlKind(Enum):
-    COPY_ONLY = "copy_only"
-    VERIFY_ONLY = "verify_only"
-    COPY_AND_VERIFY = "copy_and_verify"
-    METADATA_ONLY = "metadata_only"
 
 
 @dataclass(frozen=True)
@@ -82,14 +75,13 @@ class SchemaVersion:
     """
 
     __slots__ = ("table_id", "table_name", "columns", "constraints", "state",
-                 "data_array", "ddl_kind", "version_no", "pending_ts", "dropped")
+                 "data_array", "version_no", "pending_ts", "dropped")
 
     def __init__(self, table_id: TableId, table_name: str,
                  columns: tuple[ColumnDef, ...],
                  constraints: tuple[ConstraintDef, ...] = (),
                  state: SchemaState = SchemaState.COMMITTED,
                  data_array: Optional[IndirectionArray] = None,
-                 ddl_kind: Optional[DdlKind] = None,
                  version_no: int = 0,
                  dropped: bool = False) -> None:
         names = [c.name for c in columns]
@@ -101,7 +93,6 @@ class SchemaVersion:
         self.constraints = constraints
         self.state = state
         self.data_array = data_array
-        self.ddl_kind = ddl_kind
         self.version_no = version_no
         self.pending_ts: Optional[Timestamp] = None
         self.dropped = dropped
@@ -119,26 +110,8 @@ class SchemaVersion:
     def defaults(self) -> tuple:
         return tuple(c.default for c in self.columns)
 
-    def debug_line(self, commit_ts: Optional[Timestamp]) -> str:
-        cols = ",".join(f"{c.name}:{c.dtype.value}" for c in self.columns)
-        cons = ";".join(_constraint_text(c) for c in self.constraints) or "-"
-        return (f"table={self.table_name} id={self.table_id} v={self.version_no} "
-                f"cols=[{cols}] constraints=[{cons}] state={self.state.value} "
-                f"ts={commit_ts}")
-
     def __repr__(self) -> str:
         return f"<Schema {self.table_name} v{self.version_no} {self.state.value}>"
-
-
-def _constraint_text(c: ConstraintDef) -> str:
-    if c.kind is ConstraintKind.NOT_NULL:
-        return f"notnull({c.column})"
-    if c.kind is ConstraintKind.COLUMN_VS_CONST:
-        return f"{c.column}{c.op}{c.const}"
-    if c.kind is ConstraintKind.COLUMN_VS_COLUMN:
-        return f"{c.column}{c.op}{c.other_column}"
-    return (f"{c.column}{c.op}{c.foreign_table}"
-            f"[{'+'.join(c.local_key_cols)}->{c.foreign_col}]")
 
 
 class CatalogError(Exception):
@@ -156,7 +129,6 @@ class Catalog:
         self.array = IndirectionArray()
         # rid 0 is the catalog's own (bootstrap) schema record.
         self.array.ensure(0)
-        self.array.logical_size = 1
         boot = SchemaVersion(CATALOG_TABLE_ID, "__catalog__", (
             ColumnDef("table_name", DType.VARCHAR),
             ColumnDef("schema_blob", DType.VARCHAR),
@@ -179,8 +151,6 @@ class Catalog:
             self._tables[tid] = handle
             self._by_name[name] = tid
             self.array.ensure(tid)
-            if tid >= self.array.logical_size:
-                self.array.logical_size = tid + 1
             return handle
 
     def handle(self, table_id: TableId) -> TableHandle:
@@ -194,9 +164,6 @@ class Catalog:
             return self._tables[self._by_name[name]]
         except KeyError:
             raise CatalogError(f"unknown table {name!r}") from None
-
-    def table_ids(self) -> list[TableId]:
-        return list(self._tables)
 
     # -- schema record access ----------------------------------------------
 
@@ -320,12 +287,3 @@ class Catalog:
             raise CatalogError("revoke_pending: head is a committed schema")
         if not self.array.compare_exchange(table_id, head, head.next):
             raise CatalogError("revoke_pending: lost a race on the schema chain")
-
-    def debug_dump(self, table_id: TableId) -> list[str]:
-        """Line-based text form of the schema chain, newest first."""
-        head = self.array.head(table_id)
-        lines = []
-        for v in (head.chain() if head is not None else ()):
-            schema: SchemaVersion = v.payload
-            lines.append(schema.debug_line(v.commit_ts))
-        return lines

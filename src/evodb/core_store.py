@@ -109,7 +109,6 @@ class IndirectionArray:
         self._chunks: list[list[Optional[Version]]] = []
         self._grow_lock = threading.Lock()
         self._stripes = tuple(threading.Lock() for _ in range(_N_STRIPES))
-        self.logical_size: int = 0
 
     def _stripe(self, rid: Rid) -> threading.Lock:
         return self._stripes[rid & (_N_STRIPES - 1)]
@@ -148,9 +147,6 @@ class IndirectionArray:
     def locked(self, rid: Rid) -> threading.Lock:
         """Stripe lock for callers that need a multi-step atomic section."""
         return self._stripe(rid)
-
-    def rids(self) -> Iterator[Rid]:
-        return iter(range(self.logical_size))
 
 
 class KeyIndex:
@@ -242,19 +238,12 @@ class TableHandle:
         with self._alloc_lock:
             rid = self._next_rid
             self._next_rid += 1
-            arr = self.live_array
-            arr.ensure(rid)
-            if rid >= arr.logical_size:
-                arr.logical_size = rid + 1
+            self.live_array.ensure(rid)
             return rid
 
     @property
     def next_rid(self) -> Rid:
-        return self._next_rid
-
-    def snapshot_size(self) -> int:
-        """Allocated RID count at call time; later inserts don't affect
-        the returned value."""
+        """Allocated RID count: the bound of every scan of the table."""
         return self._next_rid
 
     def swap_array(self, new_array: IndirectionArray) -> IndirectionArray:
@@ -263,7 +252,6 @@ class TableHandle:
         with self._alloc_lock:
             old = self.live_array
             new_array.ensure(max(self._next_rid - 1, 0))
-            new_array.logical_size = self._next_rid
             self.live_array = new_array
             return old
 

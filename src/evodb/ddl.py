@@ -26,7 +26,6 @@ data capture nothing would carry concurrent writes into it.
 from __future__ import annotations
 
 import gc
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ from .catalog import (
     ColumnDef,
     ConstraintDef,
     ConstraintKind,
-    DdlKind,
     SchemaState,
     SchemaVersion,
 )
@@ -113,18 +111,6 @@ class DdlSpec:
     join_cols: tuple[str, ...] = ()
     columns: tuple[ColumnDef, ...] = ()         # create_table definition
 
-    def classify(self) -> DdlKind:
-        if self.kind in (DdlOp.ADD_COLUMN, DdlOp.DROP_COLUMN,
-                         DdlOp.CREATE_TABLE_AS, DdlOp.SPLIT_TABLE,
-                         DdlOp.PREAGGREGATE, DdlOp.JOIN_TABLE):
-            return DdlKind.COPY_ONLY
-        if self.kind is DdlOp.ADD_CONSTRAINT:
-            return DdlKind.VERIFY_ONLY
-        if self.kind in (DdlOp.MODIFY_COLUMN, DdlOp.ADD_COLUMN_WITH_CONSTRAINT,
-                         DdlOp.CREATE_INDEX):
-            return DdlKind.COPY_AND_VERIFY
-        return DdlKind.METADATA_ONLY
-
 
 @dataclass
 class DdlResult:
@@ -172,7 +158,6 @@ class DdlJob:
         self.phase = Phase.INSTALLING
         self.scan_visits = 0
         self.cdc_installs = 0
-        self.diagnostics: list[str] = []
         self.failure: Optional[str] = None
         self._fail_lock = threading.Lock()
         self.resolved = threading.Event()
@@ -359,45 +344,37 @@ def build_new_schema(old: SchemaVersion, spec: DdlSpec,
     if kind in (DdlOp.ADD_CONSTRAINT, DdlOp.ADD_COLUMN_WITH_CONSTRAINT):
         constraints = old.constraints + spec.constraints
     return SchemaVersion(old.table_id, old.table_name, columns, constraints,
-                         state=SchemaState.COMMITTED, data_array=data_array,
-                         ddl_kind=spec.classify())
+                         state=SchemaState.COMMITTED, data_array=data_array)
 
 
 class _IndexBuilder:
-    """Timestamp-ordered staging map for online index construction.
+    """Staging map for online index construction: rid -> newest
+    ``(commit_ts, key)``, the key None once the record is deleted.
 
-    Scan workers and the (single) CDC consumer apply entries with
-    newest-wins semantics; a second live row claiming an existing key is
-    a uniqueness violation, and a deletion retracts only the key its own
-    record staged.
+    Scan workers and change-data-capture workers stage in any order; the
+    newest version of each record wins, so a key the record has moved
+    away from drops out. Uniqueness is checked once, when ``materialize``
+    inverts the map.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._map: dict[bytes, tuple[int, Rid, bool]] = {}
+        self._map: dict[Rid, tuple[int, Optional[bytes]]] = {}
 
-    def apply(self, key: bytes, ts: int, rid: Rid, live: bool) -> Optional[str]:
+    def apply(self, rid: Rid, ts: int, key: Optional[bytes]) -> None:
         with self._lock:
-            cur = self._map.get(key)
-            if cur is None:
-                self._map[key] = (ts, rid, live)
-                return None
-            cur_ts, cur_rid, cur_live = cur
-            if not live and cur_rid != rid:
-                return None  # a deletion retracts only its own record's key
-            if ts < cur_ts and (cur_live or cur_rid == rid):
-                return None  # stale replay
-            if live and cur_live and cur_rid != rid:
-                return f"duplicate key for rids {cur_rid} and {rid}"
-            self._map[key] = (ts, rid, live)
-            return None
+            cur = self._map.get(rid)
+            if cur is None or cur[0] < ts:
+                self._map[rid] = (ts, key)
 
-    def materialize(self, name: str, key_cols: tuple[int, ...]) -> KeyIndex:
+    def materialize(self, name: str, key_cols: tuple[int, ...]
+                    ) -> Optional[KeyIndex]:
+        """The index, or None when two live records share a key."""
         index = KeyIndex(name, key_cols)
         with self._lock:
-            for key, (_ts, rid, live) in self._map.items():
-                if live:
-                    index.insert(key, rid)
+            for rid, (_ts, key) in self._map.items():
+                if key is not None and not index.insert(key, rid):
+                    return None
         return index
 
 
@@ -421,6 +398,7 @@ class _Plan:
         self.schema: Optional[SchemaVersion] = None
         self.constraints: tuple[ConstraintDef, ...] = ()
         self.index: Optional[_IndexBuilder] = None
+        self.built: Optional[KeyIndex] = None
         self.key_positions: tuple[int, ...] = ()
         # (output array, column positions or None for the whole payload)
         self.outs: list[tuple[IndirectionArray, Optional[tuple[int, ...]]]] = []
@@ -449,8 +427,7 @@ class _Plan:
             for name, cols, pos in targets:
                 handle = engine.catalog.new_table_handle(name)
                 schema = SchemaVersion(handle.table_id, name, cols,
-                                       data_array=handle.live_array,
-                                       ddl_kind=spec.classify())
+                                       data_array=handle.live_array)
                 if not engine.catalog.install_schema_version(
                         txn, handle.table_id, schema):
                     job.fail("conflict")
@@ -461,7 +438,15 @@ class _Plan:
             self._put = self._delete = self._to_out_tables
             self.to_tail = True
             return
-        verify_only = spec.classify() is DdlKind.VERIFY_ONLY
+        if kind is DdlOp.DROP_COLUMN:
+            dropped = old.col_index(spec.drop_column)
+            if any(dropped <= max(ix.key_cols, default=-1)
+                   for ix in table.indexes.values()):
+                # an index keeps its key positions, and writers admitted
+                # in the pending window commit new-format rows against them
+                job.fail("indexed_column")
+                return
+        verify_only = kind is DdlOp.ADD_CONSTRAINT
         if not in_place and not verify_only and kind is not DdlOp.CREATE_INDEX:
             job.new_array = IndirectionArray()
             self._put = self._delete = self._to_new_array
@@ -477,7 +462,7 @@ class _Plan:
         if kind is DdlOp.CREATE_INDEX:
             self.index = _IndexBuilder()
             self.key_positions = tuple(old.col_index(c) for c in spec.index_cols)
-            self._put, self._delete = self._to_index, self._unindex
+            self._put = self._delete = self._to_index
             self.to_tail = True
         elif in_place and not verify_only:
             self._put = self._in_place
@@ -518,36 +503,30 @@ class _Plan:
             row = payload if pos is None or payload is TOMBSTONE \
                 else tuple(payload[i] for i in pos)
             core_store.install_migrated(arr, rid, row, v.commit_ts)
-            if rid >= arr.logical_size:
-                arr.logical_size = rid + 1
         return True
-
-    def _key(self, payload: tuple) -> bytes:
-        return encode_key(tuple(payload[i] for i in self.key_positions))
 
     def _to_index(self, rid: Rid, v: Version, payload: Any) -> bool:
-        if self.index.apply(self._key(payload), v.commit_ts, rid, True):
-            self.job.fail("incompatible_data")
-            return False
+        key = None if payload is TOMBSTONE else encode_key(
+            tuple(payload[i] for i in self.key_positions))
+        self.index.apply(rid, v.commit_ts, key)
         return True
 
-    def _unindex(self, rid: Rid, v: Version, payload: Any) -> bool:
-        prior = next((p for p in v.chain() if p.is_committed
-                      and not p.is_tombstone and p.commit_ts < v.commit_ts),
-                     None)
-        if prior is None:
-            return False
-        self.index.apply(self._key(prior.payload), v.commit_ts, rid, False)
-        return True
+    def seal(self) -> None:
+        """Last step before the commit point: build the staged index,
+        failing the job when two live records share a key."""
+        if self.index is not None:
+            self.built = self.index.materialize(self.spec.index_name,
+                                                self.key_positions)
+            if self.built is None:
+                self.job.fail("incompatible_data")
 
     def publish(self) -> None:
         """Make the sink live for the committed schema."""
         job = self.job
         if job.new_array is not None:
             job.table.swap_array(job.new_array)
-        if self.index is not None:
-            job.table.indexes[self.spec.index_name] = self.index.materialize(
-                self.spec.index_name, self.key_positions)
+        if self.built is not None:
+            job.table.indexes[self.spec.index_name] = self.built
         _sync_out_tables(job)
 
 
@@ -555,19 +534,9 @@ class _Plan:
 
 
 def execute_ddl(engine: Engine, spec: DdlSpec, policy: Policy, *,
-                scan_workers: Optional[int] = None,
-                cdc_workers: Optional[int] = None,
-                total_workers: Optional[int] = None) -> DdlResult:
-    """Run one schema-evolution operation to completion under ``policy``.
-
-    When only ``total_workers`` is given, the default split assigns
-    ceil(3w/8) workers to the scan phase and the rest to change data
-    capture.
-    """
-    if total_workers is not None and scan_workers is None:
-        scan_workers = max(1, math.ceil(3 * total_workers / 8))
-        cdc_workers = max(1, total_workers - scan_workers)
-    job = DdlJob(engine, spec, policy, scan_workers or 1, cdc_workers or 1)
+                scan_workers: int = 1, cdc_workers: int = 1) -> DdlResult:
+    """Run one schema-evolution operation to completion under ``policy``."""
+    job = DdlJob(engine, spec, policy, scan_workers, cdc_workers)
 
     if spec.kind is DdlOp.CREATE_TABLE:
         return _run_create_table(job)
@@ -644,7 +613,7 @@ def _run_drop_table(job: DdlJob) -> DdlResult:
     job.txn = txn
     dropped = SchemaVersion(table.table_id, table.name, old.columns,
                             old.constraints, data_array=old.data_array,
-                            ddl_kind=DdlKind.METADATA_ONLY, dropped=True)
+                            dropped=True)
     if not engine.catalog.install_schema_version(txn, table.table_id, dropped):
         return _abort_job(job, "conflict")
     status = engine.commit(txn)
@@ -701,6 +670,9 @@ def _run_in_place(job: DdlJob) -> DdlResult:
         if job.failed:
             return _abort_job(job, job.failure)
     job.phase = Phase.FINALIZING
+    plan.seal()
+    if job.failed:
+        return _abort_job(job, job.failure)
     status = engine.commit(txn)
     if status is TxnStatus.ABORTED:
         return _abort_job(job, txn.abort_reason or "conflict")
@@ -734,8 +706,6 @@ class LazyState:
                                        self.schema, self.job.spec,
                                        LookupContext(self.job.engine))
         if new_payload is INCOMPATIBLE:
-            self.job.diagnostics.append(
-                f"rid {rid}: incompatible record found after lazy schema change")
             return None
         if core_store.replace_in_place(self.array, rid, version, new_payload):
             with self._lock:
@@ -810,18 +780,16 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
     # scan bookmarks: the log position first, then the array size, so an
     # insert between the two snapshots is covered by change data capture
     job.cdc_start_lsn = engine.log.current_lsn()
-    job.scan_bound = table.snapshot_size()
+    job.scan_bound = table.next_rid
     job.chunk_started = bytearray((job.scan_bound + SCAN_CHUNK - 1) // SCAN_CHUNK)
     job.phase = Phase.SCANNING
 
-    # index builds need ordered replay; a single change-data consumer
-    ncdc = 1 if plan.index is not None else job.cdc_workers
-    job.worker_pos = [job.cdc_start_lsn] * ncdc
+    job.worker_pos = [job.cdc_start_lsn] * job.cdc_workers
     cdc_stop = threading.Event()
     cdc_threads = [
         threading.Thread(target=_cdc_worker, args=(job, i, plan, cdc_stop),
                          daemon=True)
-        for i in range(ncdc)
+        for i in range(job.cdc_workers)
     ]
     for t in cdc_threads:
         t.start()
@@ -866,6 +834,7 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
         if plan.to_tail and not job.failed:
             job.cdc_end_lsn = engine.log.current_lsn()
             _replay_span(job, plan, min(job.worker_pos), job.cdc_end_lsn)
+        plan.seal()
         if not job.failed:
             job.commit_ts = engine.clock.reserve()
             if new_schema is not None:
@@ -1067,14 +1036,12 @@ def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
 
 def _sync_out_tables(job: DdlJob) -> None:
     """Output tables mirror the source's RID space; align their
-    allocators and logical sizes at publication."""
+    allocators and arrays with it at publication."""
     if not job.out_tables or job.table is None:
         return
     bound = job.table.next_rid
     for handle in job.out_tables:
         handle.live_array.ensure(max(bound - 1, 0))
-        if bound > handle.live_array.logical_size:
-            handle.live_array.logical_size = bound
         with handle._alloc_lock:
             if bound > handle._next_rid:
                 handle._next_rid = bound

@@ -7,12 +7,11 @@ taken in that section is complete for every earlier timestamp.
 
 from __future__ import annotations
 
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .core_store import TOMBSTONE, Rid, Timestamp, is_tombstone
+from .core_store import Rid, Timestamp
 
 Lsn = int
 
@@ -81,15 +80,12 @@ class RedoLog:
         return self._records[lsn]
 
     def scan(self, start: Lsn, table_id: Optional[int] = None,
-             upto_ts: Optional[Timestamp] = None,
              end_lsn: Optional[Lsn] = None) -> Iterator[LogRecord]:
         """Yield records from ``start`` in LSN order.
 
         Filters by ``table_id`` when given. Stops at ``end_lsn`` when
-        given, else at the momentary tail; also stops early at the first
-        record with commit_ts > upto_ts, which is sound because appends
-        are timestamp-ordered. Every record is fetched through ``record``,
-        so a wrapper on it sees each read.
+        given, else at the momentary tail. Every record is fetched through
+        ``record``, so a wrapper on it sees each read.
         """
         i = start
         while True:
@@ -98,76 +94,6 @@ class RedoLog:
                 return
             rec = self.record(i)
             i += 1
-            if upto_ts is not None and rec.commit_ts > upto_ts:
-                return
             if table_id is not None and rec.table_id != table_id:
                 continue
             yield rec
-
-    def dump_binary(self, path: str) -> int:
-        """Debug dump: little-endian fixed header + length-prefixed payload
-        per record. Not a compatibility surface."""
-        n = 0
-        with open(path, "wb") as f:
-            for rec in list(self._records):
-                body = _encode_payload(rec.payload)
-                f.write(struct.pack("<QQQQQI", rec.lsn, rec.table_id, rec.rid,
-                                    rec.commit_ts, rec.txn_id, len(body)))
-                f.write(body)
-                n += 1
-        return n
-
-
-def _encode_payload(payload: Any) -> bytes:
-    if is_tombstone(payload):
-        return b"\x00"
-    if not isinstance(payload, tuple):
-        # catalog records carry schema objects; dump their repr
-        raw = repr(payload).encode("utf-8")
-        return b"\x02" + struct.pack("<I", len(raw)) + raw
-    parts = [b"\x01", struct.pack("<I", len(payload))]
-    for v in payload:
-        if v is None:
-            parts.append(b"n")
-        elif isinstance(v, bool):
-            parts.append(b"i" + struct.pack("<q", int(v)))
-        elif isinstance(v, int):
-            parts.append(b"i" + struct.pack("<q", v))
-        elif isinstance(v, float):
-            parts.append(b"f" + struct.pack("<d", v))
-        else:
-            raw = str(v).encode("utf-8")
-            parts.append(b"s" + struct.pack("<I", len(raw)) + raw)
-    return b"".join(parts)
-
-
-def decode_payload(body: bytes) -> Any:
-    """Inverse of the dump encoding (debug tooling); schema records come
-    back as their repr string."""
-    if body[:1] == b"\x00":
-        return TOMBSTONE
-    if body[:1] == b"\x02":
-        (ln,) = struct.unpack_from("<I", body, 1)
-        return body[5:5 + ln].decode("utf-8")
-    (count,) = struct.unpack_from("<I", body, 1)
-    out = []
-    off = 5
-    for _ in range(count):
-        tag = body[off:off + 1]
-        off += 1
-        if tag == b"n":
-            out.append(None)
-        elif tag == b"i":
-            (v,) = struct.unpack_from("<q", body, off)
-            off += 8
-            out.append(v)
-        elif tag == b"f":
-            (v,) = struct.unpack_from("<d", body, off)
-            off += 8
-            out.append(v)
-        else:
-            (ln,) = struct.unpack_from("<I", body, off)
-            off += 4
-            out.append(body[off:off + ln].decode("utf-8"))
-            off += ln
-    return tuple(out)

@@ -67,28 +67,20 @@ class OverlapAbort(Exception):
 
 
 class GlobalClock:
-    """Central 64-bit counter. ``advance`` is fetch-and-increment and
-    returns the pre-increment value; ``read`` never advances.
+    """Central 64-bit counter; ``read`` never advances it.
 
-    The engine's commit path uses the two-phase ``reserve``/``publish``
-    pair instead: the committer (already serialized by the commit mutex)
-    reserves the next timestamp, stamps its versions, and publishes the
-    increment as its very last step. A reader can thus only obtain a
-    begin timestamp that admits a version after that version is fully
-    stamped, which makes lock-free begins safe."""
+    It advances through the two-phase ``reserve``/``publish`` pair: the
+    committer (already serialized by the commit mutex) reserves the next
+    timestamp, stamps its versions, and publishes the increment as its
+    very last step. A reader can thus only obtain a begin timestamp that
+    admits a version after that version is fully stamped, which makes
+    lock-free begins safe."""
 
     def __init__(self, start: Timestamp = 1) -> None:
         self._value = start
-        self._lock = threading.Lock()
 
     def read(self) -> Timestamp:
         return self._value  # single word, atomic under the GIL
-
-    def advance(self) -> Timestamp:
-        with self._lock:
-            v = self._value
-            self._value += 1
-            return v
 
     def reserve(self) -> Timestamp:
         """The timestamp the next commit will use. Caller must hold the

@@ -11,6 +11,7 @@ rules instead of being ignored.
 
 from __future__ import annotations
 
+import ast
 import bisect
 import threading
 from dataclasses import dataclass, field
@@ -93,7 +94,7 @@ def parse_trace(text: str) -> list[Event]:
             elif raw == "":
                 ev.payload = ()
             else:
-                ev.payload = tuple(eval(v) for v in raw.split("|"))
+                ev.payload = tuple(ast.literal_eval(v) for v in raw.split("|"))
         events.append(ev)
     return events
 

@@ -215,7 +215,7 @@ def test_criterion_04_ddl_atomicity():
             def catalog_walk():
                 out = {}
                 arr = engine.catalog.array
-                for rid in range(arr.logical_size):
+                for rid in range(engine.catalog._next_table_id):
                     if arr.covers(rid):
                         head = arr.head(rid)
                         out[rid] = [(v.commit_ts, v.payload.version_no,

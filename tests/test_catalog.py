@@ -1,6 +1,6 @@
 import pytest
 
-from evodb import ColumnDef, ConstraintDef, ConstraintKind, DType, Engine
+from evodb import ColumnDef, DType, Engine
 from evodb import core_store
 from evodb.catalog import CatalogError, SchemaState, SchemaVersion
 
@@ -71,7 +71,8 @@ def test_pending_lifecycle(engine, table3):
     s = SchemaVersion(tid, "t3", old.columns + (ColumnDef("x", DType.INT64, default=1),),
                       data_array=core_store.IndirectionArray())
     assert engine.catalog.install_schema_version(txn, tid, s)
-    t_pre = engine.clock.advance()
+    t_pre = engine.clock.reserve()
+    engine.clock.publish(t_pre)
     engine.catalog.set_pending(tid, t_pre)
 
     # a new transaction resolves the pending schema
@@ -99,9 +100,11 @@ def test_finalize_restamps_and_couples_array(engine, table3):
     txn = engine.begin()
     s = SchemaVersion(tid, "t3", old.columns, data_array=new_arr)
     assert engine.catalog.install_schema_version(txn, tid, s)
-    t_pre = engine.clock.advance()
+    t_pre = engine.clock.reserve()
+    engine.clock.publish(t_pre)
     engine.catalog.set_pending(tid, t_pre)
-    final_ts = engine.clock.advance()
+    final_ts = engine.clock.reserve()
+    engine.clock.publish(final_ts)
     engine.catalog.finalize_schema(tid, final_ts)
     table3.swap_array(new_arr)
 
@@ -153,7 +156,7 @@ def test_finalized_schema_stays_visible_to_pending_window_readers(engine):
 def test_catalog_obeys_core_chain_invariants(engine, table3):
     """The catalog is an ordinary table: generic chain checks hold on its
     own array."""
-    for rid in range(engine.catalog.array.logical_size):
+    for rid in range(engine.catalog._next_table_id):
         if engine.catalog.array.covers(rid):
             core_store.check_chain(engine.catalog.array, rid)
 
@@ -168,20 +171,3 @@ def test_duplicate_column_names_rejected():
     with pytest.raises(ValueError):
         SchemaVersion(1, "x", (ColumnDef("a", DType.INT64),
                                ColumnDef("a", DType.INT64)))
-
-
-def test_debug_dump_line_form(engine, table3):
-    lines = engine.catalog.debug_dump(table3.table_id)
-    assert len(lines) == 1
-    assert "table=t3" in lines[0]
-    assert "cols=[c0:int64,c1:int64,c2:int64]" in lines[0]
-    assert "state=committed" in lines[0]
-
-
-def test_constraint_text_in_dump(engine):
-    con = ConstraintDef(ConstraintKind.COLUMN_VS_CONST, column="c2", op="<",
-                        const=100)
-    t = engine.create_table("c", INT3, constraints=(con,))
-    engine.drain_now()
-    dump = engine.catalog.debug_dump(t.table_id)[0]
-    assert "c2<100" in dump

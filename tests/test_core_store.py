@@ -24,7 +24,6 @@ def chain_of(*pairs):
     (payload, ts) pairs, newest first; ts None means uncommitted."""
     arr = IndirectionArray()
     arr.ensure(0)
-    arr.logical_size = 1
     head = None
     for payload, ts in reversed(pairs):
         if ts is None:
@@ -56,14 +55,14 @@ class TestAllocateRid:
         for th in threads:
             th.join()
         assert sorted(got) == [0, 1]
-        assert t.live_array.logical_size == 2
+        assert t.next_rid == 2
 
     def test_thousand_sequential(self):
         t = TableHandle(1, "t")
         for _ in range(1000):
             t.allocate_rid()
-        assert t.live_array.logical_size == 1000
-        assert t.snapshot_size() == 1000
+        assert t.next_rid == 1000
+        assert t.live_array.covers(999)
 
 
 class TestReadVisible:
@@ -146,20 +145,20 @@ class TestSnapshotSize:
         t = TableHandle(1, "t")
         for _ in range(10):
             t.allocate_rid()
-        assert t.snapshot_size() == 10
+        assert t.next_rid == 10
 
     def test_unchanged_by_later_inserts(self):
         t = TableHandle(1, "t")
         for _ in range(10):
             t.allocate_rid()
-        size = t.snapshot_size()
+        size = t.next_rid
         for _ in range(5):
             t.allocate_rid()
         assert size == 10
-        assert t.snapshot_size() == 15
+        assert t.next_rid == 15
 
     def test_empty(self):
-        assert TableHandle(1, "t").snapshot_size() == 0
+        assert TableHandle(1, "t").next_rid == 0
 
 
 class TestSwapArray:
@@ -184,13 +183,13 @@ class TestSwapArray:
         # an in-flight reader holding the old array still resolves reads
         assert core_store.read_visible(100, old, rid)[0].payload == (1,)
 
-    def test_new_array_inherits_logical_size(self):
+    def test_new_array_covers_allocated_rids(self):
         t = TableHandle(1, "t")
         for _ in range(7):
             t.allocate_rid()
         new = IndirectionArray()
         t.swap_array(new)
-        assert new.logical_size == 7
+        assert new.covers(6)
 
 
 class TestKeyIndex:

@@ -41,7 +41,7 @@ def catalog_walk(engine):
     """(table rid -> [(ts, schema version_no, state)]) for atomicity diffs."""
     out = {}
     arr = engine.catalog.array
-    for rid in range(arr.logical_size):
+    for rid in range(engine.catalog._next_table_id):
         if not arr.covers(rid):
             continue
         head = arr.head(rid)
@@ -430,7 +430,8 @@ def pending_add_column(engine, table):
                                                  job.pending_schema)
     table.active_ddl = job
     with engine._commit_mutex:
-        job.t_pre = engine.clock.advance()
+        job.t_pre = engine.clock.reserve()
+        engine.clock.publish(job.t_pre)
         engine.catalog.set_pending(table.table_id, job.t_pre)
     try:
         yield job
@@ -665,6 +666,81 @@ class TestCreateIndex:
         assert res.status == "aborted"
         assert res.reason == "incompatible_data"
         assert "primary" not in t.indexes
+
+    @pytest.mark.parametrize("updates", [
+        [(0, (1_000_001, 0, 0)), (0, (1_000_002, 0, 0))],
+        [(0, (1_000_001, 0, 0)), (1, (0, 1, 0))],
+    ], ids=["key_moves_twice", "freed_key_taken"])
+    def test_relaxed_build_follows_key_updates(self, engine, monkeypatch,
+                                               updates):
+        """Updates that change rid 0's key (and, in the second case, give
+        its old key to rid 1) commit while the scan is past rid 0; the
+        built index holds each record's latest key only."""
+        t = engine.create_table("ixu", INT3)
+        engine.load_rows(t, ((10 * i, i, 0) for i in range(50)))  # c1 = rid
+        engine.drain_now()
+        real = ddl.transform_record
+        fired = []
+
+        def update_past_rid0(payload, *args, **kwargs):
+            if not fired and payload[1] == 1:
+                fired.append(True)
+                for rid, values in updates:
+                    txn = engine.begin()
+                    assert engine.write(txn, t, rid, values)
+                    assert engine.commit(txn) is not TxnStatus.ABORTED
+            return real(payload, *args, **kwargs)
+
+        monkeypatch.setattr(ddl, "transform_record", update_past_rid0)
+        spec = DdlSpec(kind=DdlOp.CREATE_INDEX, table="ixu",
+                       index_cols=("c0",))
+        res = execute_ddl(engine, spec, Policy.RELAXED, cdc_workers=2)
+        assert fired and res.committed, res.reason
+        engine.quiesce()
+        from evodb.txn import encode_key
+        assert t.indexes["primary"].snapshot() == {
+            encode_key((row[0],)): rid
+            for rid, row in engine.materialize(t).items()}
+
+
+KEY_MIDDLE = [ColumnDef("a", DType.INT64, default=0),
+              ColumnDef("k", DType.INT64, default=0),
+              ColumnDef("b", DType.INT64, default=0)]
+
+
+class TestDropColumnUnderIndex:
+    """An index keeps its key positions, so a drop at or left of a key
+    column must abort; one right of every key commits."""
+
+    @pytest.mark.parametrize("drop", ["a", "k", "b"])
+    @pytest.mark.parametrize("policy", [Policy.BLOCKING, Policy.BASIC,
+                                        Policy.RELAXED])
+    def test_primary_key_stays_sound(self, policy, drop):
+        eng = Engine(locking_dml=(policy is Policy.BLOCKING))
+        try:
+            t = eng.create_table("dk", KEY_MIDDLE, key_cols=("k",))
+            eng.load_rows(t, ((i, 1000 + i, 2 * i) for i in range(20)))
+            eng.drain_now()
+            res = execute_ddl(eng, DdlSpec(kind=DdlOp.DROP_COLUMN, table="dk",
+                                           drop_column=drop), policy)
+            if drop == "b":
+                assert res.committed, res.reason
+                row = (9, 2000)
+            else:
+                assert (res.status, res.reason) == ("aborted", "indexed_column")
+                row = (9, 2000, 9)
+            txn = eng.begin()
+            assert eng.insert(txn, t, row) is not None
+            assert eng.commit(txn) is not TxnStatus.ABORTED
+            txn = eng.begin()
+            assert eng.lookup(txn, t, (2000,)) == row
+            assert eng.lookup(txn, t, (1005,))[:2] == (5, 1005)
+            eng.abort(txn)
+            dup = eng.begin()
+            assert eng.insert(dup, t, row) is not None
+            assert eng.commit(dup) is TxnStatus.ABORTED
+        finally:
+            eng.close()
 
 
 def c2_below(bound):

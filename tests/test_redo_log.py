@@ -1,8 +1,7 @@
 import threading
 
-from evodb import TOMBSTONE, Engine
 from evodb.core_store import Version
-from evodb.redo_log import RedoLog, decode_payload
+from evodb.redo_log import RedoLog
 
 from conftest import INT3, StubTxn
 
@@ -70,8 +69,8 @@ def test_scan_filters_table_and_ts_boundary():
 
     assert [r.commit_ts for r in log.scan(0)] == [10, 20, 30, 31]
     assert [r.commit_ts for r in log.scan(0, table_id=1)] == [10, 30, 31]
-    # boundary: ts == upto included, ts+1 excluded
-    assert [r.commit_ts for r in log.scan(0, table_id=1, upto_ts=30)] == [10, 30]
+    # boundary: end_lsn itself excluded
+    assert [r.commit_ts for r in log.scan(0, table_id=1, end_lsn=3)] == [10, 30]
 
 
 def test_scan_tail_follow_includes_records_appended_mid_iteration():
@@ -85,7 +84,7 @@ def test_scan_tail_follow_includes_records_appended_mid_iteration():
 
 def test_replay_completeness_against_engine(engine, table3):
     """Every committed write with ts <= T appears exactly once in a scan
-    bounded by T."""
+    bounded by the log tail read at T."""
     for rid in range(5):
         txn = engine.begin()
         assert engine.write(txn, table3, rid, (rid, rid, rid))
@@ -94,13 +93,14 @@ def test_replay_completeness_against_engine(engine, table3):
     boundary_txn = engine.begin()
     boundary = boundary_txn.begin_ts - 1
     engine.abort(boundary_txn)
+    boundary_lsn = engine.log.current_lsn()
     for rid in range(3):
         txn = engine.begin()
         assert engine.write(txn, table3, rid, (rid, 0, 0))
         engine.commit(txn)
     engine.drain_now()
     seen = [(r.rid, r.commit_ts) for r in
-            log_scan_all(engine, table3.table_id, boundary)]
+            log_scan_all(engine, table3.table_id, boundary_lsn)]
     per_write = {}
     for rid, ts in seen:
         per_write[(rid, ts)] = per_write.get((rid, ts), 0) + 1
@@ -109,8 +109,8 @@ def test_replay_completeness_against_engine(engine, table3):
     assert len([1 for (_, ts) in seen if ts <= boundary]) == len(seen) == 25
 
 
-def log_scan_all(engine, table_id, upto_ts):
-    return list(engine.log.scan(0, table_id=table_id, upto_ts=upto_ts))
+def log_scan_all(engine, table_id, end_lsn):
+    return list(engine.log.scan(0, table_id=table_id, end_lsn=end_lsn))
 
 
 def test_lsn_density(engine, table3):
@@ -125,31 +125,3 @@ def test_lsn_density(engine, table3):
     lsns = [r.lsn for r in engine.log.scan(0)]
     assert lsns == list(range(23))
 
-
-def test_binary_dump_roundtrip(tmp_path, engine, table3):
-    txn = engine.begin()
-    engine.write(txn, table3, 0, (1, 2, 3))
-    engine.delete(txn, table3, 1)
-    engine.commit(txn)
-    engine.drain_now()
-    path = tmp_path / "log.bin"
-    n = engine.log.dump_binary(str(path))
-    assert n == engine.log.current_lsn()
-    blob = path.read_bytes()
-    assert len(blob) > 0
-
-    import struct
-    # walk the dump and compare each record with the live log
-    off = 0
-    for i in range(n):
-        lsn, table_id, rid, ts, txn_id, ln = struct.unpack_from("<QQQQQI",
-                                                                blob, off)
-        off += 44
-        body = blob[off:off + ln]
-        off += ln
-        rec = engine.log.record(i)
-        assert (lsn, table_id, rid, ts) == (rec.lsn, rec.table_id, rec.rid,
-                                            rec.commit_ts)
-        if isinstance(rec.payload, tuple) or rec.payload is TOMBSTONE:
-            assert decode_payload(body) == rec.payload
-    assert off == len(blob)

@@ -314,7 +314,8 @@ def _barriered_commit(engine, name):
     job.pending_schema = new_schema
     t.active_ddl = job
     with engine._commit_mutex:
-        job.t_pre = engine.clock.advance()
+        job.t_pre = engine.clock.reserve()
+        engine.clock.publish(job.t_pre)
         engine.catalog.set_pending(t.table_id, job.t_pre)
 
     victim = engine.begin()

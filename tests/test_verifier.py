@@ -119,6 +119,13 @@ class TestTraceRoundtrip:
                    (b.wall, b.kind, b.txn, b.ts, b.table, b.rid,
                     b.observed_ts, b.admitted)
 
+    def test_payload_fields_are_literals_only(self):
+        ev = Event(wall=1, kind="write", txn=1, table=1, rid=0,
+                   payload=(7, -2.5, "it's", None))
+        assert parse_trace(dump_trace([ev]))[0].payload == ev.payload
+        with pytest.raises(ValueError):
+            parse_trace("w=1\tk=write\ttxn=1\tpayload=__import__('os').getpid()")
+
 
 class TestSerialReplay:
     def _txn(self, txn_id, begin, commit, writes):
