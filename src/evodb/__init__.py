@@ -25,7 +25,6 @@ from .ddl import (
     DdlSpec,
     Policy,
     execute_ddl,
-    parse_ddl_spec,
     transform_record,
     verify_record,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "TOMBSTONE", "DType", "IndirectionArray", "KeyIndex", "TableHandle",
     "Version", "is_tombstone",
     "DdlOp", "DdlResult", "DdlSpec", "Policy", "execute_ddl",
-    "parse_ddl_spec",
     "transform_record", "verify_record",
     "LogRecord", "RedoLog",
     "Engine", "GlobalClock", "OverlapAbort", "TxnContext", "TxnStatus",

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> WorkloadConfig:
     cfg = WorkloadConfig(benchmark=args.benchmark)
     if args.config:
-        cfg, _ddl_lines = load_config_file(args.config, cfg)
+        cfg = load_config_file(args.config, cfg)
     for key in ("rows", "warehouses", "dml_threads", "scan_threads",
                 "cdc_threads", "ddl_op", "policy", "ddl_start_sec",
                 "duration_sec", "interval_ms", "seed", "txn_limit",

@@ -57,19 +57,15 @@ def apply_kv(cfg: WorkloadConfig, key: str, value: str) -> None:
 
 
 def load_config_file(path: str, cfg: Optional[WorkloadConfig] = None
-                     ) -> tuple[WorkloadConfig, list[str]]:
-    """key=value lines configure the workload; ``ddl ...`` lines are
-    returned verbatim for the DDL-spec parser."""
+                     ) -> WorkloadConfig:
+    """Apply a file of ``key=value`` lines; blank lines and lines that
+    start with ``#`` are skipped."""
     cfg = cfg or WorkloadConfig()
-    ddl_lines: list[str] = []
     with open(path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("ddl "):
-                ddl_lines.append(line)
-                continue
             key, _, value = line.partition("=")
             apply_kv(cfg, key.strip(), value.strip())
-    return cfg, ddl_lines
+    return cfg

@@ -835,14 +835,17 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
             job.cdc_end_lsn = engine.log.current_lsn()
             _replay_span(job, plan, min(job.worker_pos), job.cdc_end_lsn)
         plan.seal()
-        if not job.failed:
+        # the outcome is decided here: an admitted writer that fails the
+        # job after this point has its write refused, nothing more
+        failure = job.failure
+        if failure is None:
             job.commit_ts = engine.clock.reserve()
             if new_schema is not None:
                 engine.catalog.finalize_schema(table.table_id, job.commit_ts)
             plan.publish()
             engine._precommit(txn)
-    if job.failed:
-        return _abort_job(job, job.failure)
+    if failure is not None:
+        return _abort_job(job, failure)
     _emit_schema_commit(job, new_schema, job.commit_ts)
     engine._deactivate(txn)
     table.active_ddl = None
@@ -890,10 +893,14 @@ class _Pacer:
     1/(n + w), while foreground transactions are active. n is the most
     transactions other than the DDL's own seen active since the worker
     began (or last ran alone): a thread between two transactions still
-    wants the CPU. w counts the engine's commit drainer and the job's
-    workers. A worker earns CPU budget at its share of the wall time,
-    pays for the CPU time it uses, and sleeps between steps while in
-    debt. With no other transaction active it runs unpaced.
+    wants the CPU. w is the job's scan and change-data-capture workers
+    plus one. The engine runs no thread of its own; the one is kept so
+    that DDL pacing keeps its measured share (dropping it shortened
+    ``migrate`` DDLs but raised retained bytes per write), and retuning
+    the share is a change to measure on its own. A worker earns CPU
+    budget at its share of the wall time, pays for the CPU time it uses,
+    and sleeps between steps while in debt. With no other transaction
+    active it runs unpaced.
 
     CPU time is the thread's own, so the rule holds however the GIL is
     handed over (DML threads blocked on the commit mutex hand it straight
@@ -1060,59 +1067,3 @@ def _emit_schema_commit(job: DdlJob, schema: Optional[SchemaVersion],
         engine.trace.emit(verifier.SCHEMA_INIT, table=out.table_id,
                           ts=commit_ts, schema_version=out.version_no,
                           ncols=out.ncols)
-
-
-# -- text form ----------------------------------------------------------------
-
-
-_KIND_TOKENS = {op.value: op for op in DdlOp}
-
-
-def parse_ddl_spec(text: str) -> tuple[DdlSpec, Policy, int, int]:
-    """Parse the line-oriented DDL form, e.g.::
-
-        ddl add_column table=ycsb col=c4:int64 default=0 policy=relaxed \
-            scan_threads=3 cdc_threads=5
-    """
-    parts = text.split()
-    if parts and parts[0] == "ddl":
-        parts = parts[1:]
-    if not parts or parts[0] not in _KIND_TOKENS:
-        raise ValueError(f"unknown ddl operation in {text!r}")
-    kind = _KIND_TOKENS[parts[0]]
-    kv: dict[str, str] = {}
-    for part in parts[1:]:
-        key, _, val = part.partition("=")
-        kv[key] = val
-    spec = DdlSpec(kind=kind, table=kv.get("table", ""))
-    if "col" in kv:
-        name, _, dtype = kv["col"].partition(":")
-        dt = DType(dtype or "int64")
-        default: Any = kv.get("default")
-        if default is not None:
-            default = float(default) if dt is DType.FLOAT64 else (
-                int(default) if dt is DType.INT64 else default)
-        spec.column = ColumnDef(name, dt, default=default)
-    if "drop" in kv:
-        spec.drop_column = kv["drop"]
-    if "constraint" in kv:
-        spec.constraints = (parse_constraint(kv["constraint"]),)
-    if "index_cols" in kv:
-        spec.index_cols = tuple(kv["index_cols"].split(","))
-    policy = Policy(kv.get("policy", "relaxed"))
-    return (spec, policy, int(kv.get("scan_threads", 1)),
-            int(kv.get("cdc_threads", 1)))
-
-
-def parse_constraint(text: str) -> ConstraintDef:
-    """Parse ``col<100``-style column-vs-constant forms and
-    ``notnull:col``."""
-    if text.startswith("notnull:"):
-        return ConstraintDef(ConstraintKind.NOT_NULL, column=text[8:])
-    for op in ("<=", ">=", "==", "!=", "<", ">"):
-        if op in text:
-            col, _, raw = text.partition(op)
-            const: Any = float(raw) if "." in raw else int(raw)
-            return ConstraintDef(ConstraintKind.COLUMN_VS_CONST, column=col,
-                                 op=op, const=const)
-    raise ValueError(f"cannot parse constraint {text!r}")

@@ -7,18 +7,21 @@ lock. That discipline is what makes strict ``commit_ts < begin_ts``
 visibility race-free and keeps the log timestamp-ordered, which the
 change-data-capture phase relies on.
 
-Pre-committed transactions drain from a pipelined commit queue in
-timestamp order on a dedicated drainer thread; entries carrying a
-barrier on an in-flight schema-evolution job wait for it to resolve and
-abort if the job aborts while they depended on its pending schema.
+A commit finalizes in the thread that runs it: the engine keeps no
+durable log, so there is no flush to overlap. Only a transaction
+admitted under an in-flight schema-evolution job's pending schema is
+held back, with a barrier on the job, in the commit queue; later commits
+queue behind it, so finalize order stays commit order. The thread that
+resolves the job finalizes the queue's drainable prefix, aborting the
+entries whose pending schema the job revoked.
 
-Nothing polls: the drainer and ``wait_for``/``drain_now``/``quiesce``
-wait on one condition, ``Engine._queue_cv``. Every commit notifies it,
-as does a DDL job resolving and, while one of those three calls waits,
-a finalized batch and the last active transaction ending. Their
-timeouts are deadlines only. Change-data-capture workers wait on the
-redo log instead (``RedoLog.wait_for_tail``), which wakes them once a
-whole step is logged rather than on every commit.
+Nothing polls: ``wait_for``/``drain_now``/``quiesce``/``close`` wait on
+one condition, ``Engine._queue_cv``. ``Engine.wake`` drains the queue
+and notifies it; a DDL job resolving calls it, as do a held-back commit
+and, while one of those calls waits, the last active transaction
+ending. Their timeouts are deadlines only. Change-data-capture workers
+wait on the redo log instead (``RedoLog.wait_for_tail``), which wakes
+them once a whole step is logged rather than on every commit.
 """
 
 from __future__ import annotations
@@ -145,8 +148,24 @@ def encode_key(values: tuple) -> bytes:
     return b"".join(parts)
 
 
+def _key_of(payload: Optional[tuple], key_cols: tuple[int, ...]
+            ) -> Optional[tuple]:
+    if payload is None or max(key_cols, default=-1) >= len(payload):
+        return None
+    return tuple(payload[i] for i in key_cols)
+
+
+def _undo_index_ops(ops: list) -> None:
+    for op, index, key, rid in reversed(ops):
+        if op == "insert":
+            index.delete(key)
+        else:
+            index.insert(key, rid)
+
+
 class Engine:
-    """Embedded storage engine: catalog + clock + redo log + commit queue.
+    """Embedded storage engine: catalog + clock + redo log, and a commit
+    queue that holds only commits waiting on a schema-evolution job.
 
     ``locking_dml=True`` routes every DML operation through the table's
     reader/writer lock in reader mode; that is the blocking-migration
@@ -166,20 +185,14 @@ class Engine:
         self._active_lock = threading.Lock()
         self._queue: list[_QueueEntry] = []
         self._queue_cv = threading.Condition()
-        self._draining = False  # a popped batch is being finalized
         self._waiting = 0  # callers blocked in wait_for/drain_now/quiesce
-        self._closed = False
-        self._drainer = threading.Thread(target=self._drain_loop,
-                                         name="commit-drainer", daemon=True)
-        self._drainer.start()
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
+        """Give commits held behind a DDL job up to 5 s to finalize."""
         with self._queue_cv:
-            self._closed = True
-            self._queue_cv.notify_all()
-        self._drainer.join(timeout=5)
+            self._queue_cv.wait_for(lambda: not self._queue, 5)
 
     def __enter__(self) -> "Engine":
         return self
@@ -461,7 +474,8 @@ class Engine:
         """Index maintenance is derived inside the commit section so it
         always runs against the index set current at commit time (an
         index published mid-transaction still gets this txn's keys)."""
-        ops: list[tuple[str, Any, bytes, Rid]] = []
+        deletes: list[tuple[str, Any, bytes, Rid]] = []
+        inserts: list[tuple[str, Any, bytes, Rid]] = []
         for tid, _arr, rid, version in txn.write_set:
             if tid == CATALOG_TABLE_ID or tid < 0:
                 continue
@@ -476,20 +490,30 @@ class Engine:
                 if v.is_committed:
                     prior = v
                     break
-            if version.is_tombstone:
-                src = prior
-                if src is None or src.is_tombstone:
+            old = None if prior is None or prior.is_tombstone else prior.payload
+            new = None if version.is_tombstone else version.payload
+            same_shape = old is not None and new is not None \
+                and len(old) == len(new)
+            for index in table.indexes.values():
+                cols = index.key_cols
+                if same_shape:
+                    # most updates keep the key: compare before building it
+                    for i in cols:
+                        if i >= len(new) or old[i] != new[i]:
+                            break
+                    else:
+                        continue
+                old_key = _key_of(old, cols)
+                new_key = _key_of(new, cols)
+                if old_key == new_key:
                     continue
-                for index in table.indexes.values():
-                    if max(index.key_cols, default=-1) < len(src.payload):
-                        key = encode_key(tuple(src.payload[i] for i in index.key_cols))
-                        ops.append(("delete", index, key, rid))
-            elif prior is None or prior.is_tombstone:
-                for index in table.indexes.values():
-                    if max(index.key_cols, default=-1) < len(version.payload):
-                        key = encode_key(tuple(version.payload[i] for i in index.key_cols))
-                        ops.append(("insert", index, key, rid))
-        txn.index_ops = ops
+                if old_key is not None:
+                    deletes.append(("delete", index, encode_key(old_key), rid))
+                if new_key is not None:
+                    inserts.append(("insert", index, encode_key(new_key), rid))
+        # deletes first: a key that moves between records in one
+        # transaction is free again before it is re-inserted
+        txn.index_ops = deletes + inserts
 
     def _validate_schema_set(self, txn: TxnContext) -> Optional[str]:
         """Alg.-2-style commit check: for every table written, the schema
@@ -513,17 +537,15 @@ class Engine:
         return None
 
     def _apply_index_ops(self, txn: TxnContext) -> bool:
-        applied: list[tuple[Any, bytes]] = []
-        for op, index, key, rid in txn.index_ops:
-            if op == "insert":
-                if not index.insert(key, rid):
-                    for idx, k in applied:
-                        idx.delete(k)
-                    return True
-                applied.append((index, key))
-        for op, index, key, rid in txn.index_ops:
+        """Apply the derived index ops in order; on a duplicate key undo
+        the ones applied and return True."""
+        ops = txn.index_ops
+        for i, (op, index, key, rid) in enumerate(ops):
             if op == "delete":
                 index.delete(key)
+            elif not index.insert(key, rid):
+                _undo_index_ops(ops[:i])
+                return True
         return False
 
     def abort(self, txn: TxnContext) -> None:
@@ -531,6 +553,14 @@ class Engine:
         self._abort_internal(txn)
 
     def _abort_internal(self, txn: TxnContext) -> None:
+        self._unlink(txn)
+        txn.write_set.clear()
+        txn.index_ops.clear()
+        self._release_locks(txn)
+        self._deactivate(txn)
+
+    def _unlink(self, txn: TxnContext) -> None:
+        """Mark ``txn`` aborted and unlink its versions, newest first."""
         # the abort event precedes the unlinks so a competing writer's
         # success can never appear to overlap our ownership window
         txn.status = TxnStatus.ABORTED
@@ -538,10 +568,6 @@ class Engine:
             self.trace.emit(verifier.ABORT, txn=txn.txn_id)
         for _tid, arr, rid, version in reversed(txn.write_set):
             core_store.unlink_version(arr, rid, version)
-        txn.write_set.clear()
-        txn.index_ops.clear()
-        self._release_locks(txn)
-        self._deactivate(txn)
 
     def _deactivate(self, txn: TxnContext) -> None:
         with self._active_lock:
@@ -552,26 +578,7 @@ class Engine:
         if idle and self._waiting:
             self.wake()
 
-    # -- pipelined commit queue ---------------------------------------------
-
-    def _drain_loop(self) -> None:
-        cv = self._queue_cv
-        batch: list[_QueueEntry] = []
-        while True:
-            with cv:
-                if batch:
-                    self._draining = False
-                    if self._waiting:
-                        cv.notify_all()
-                while not (n := self._drainable()):
-                    if self._closed and not self._queue:
-                        return
-                    cv.wait()
-                batch = self._queue[:n]
-                del self._queue[:n]
-                self._draining = True
-            for entry in batch:
-                self._finalize_entry(entry)
+    # -- commit queue --------------------------------------------------------
 
     def _drainable(self) -> int:
         """Length of the queue's prefix whose barriers have all resolved."""
@@ -584,36 +591,29 @@ class Engine:
 
     def _finalize_entry(self, entry: _QueueEntry) -> None:
         txn = entry.txn
-        failed_jobs = [j for j in entry.barriers if j.outcome == "aborted"]
-        if failed_jobs and txn.admitted:
+        if txn.admitted and any(j.outcome == "aborted" for j in entry.barriers):
             # the pending schema this transaction depended on was revoked
-            txn.status = TxnStatus.ABORTED
             txn.abort_reason = "ddl_aborted"
-            if self.trace:
-                self.trace.emit(verifier.ABORT, txn=txn.txn_id)
-            for _tid, arr, rid, version in reversed(txn.write_set):
-                core_store.unlink_version(arr, rid, version)
-            self._undo_index_ops(txn)
+            self._unlink(txn)
+            _undo_index_ops(txn.index_ops)
         else:
             txn.status = TxnStatus.COMMITTED
 
-    def _undo_index_ops(self, txn: TxnContext) -> None:
-        for op, index, key, rid in txn.index_ops:
-            if op == "insert":
-                index.delete(key)
-            else:
-                index.insert(key, rid)
-
     def wake(self) -> None:
-        """Notify everything waiting on the engine's condition."""
+        """Finalize the queue's drainable prefix in commit order (what a
+        resolved DDL job released), then notify every waiter."""
         with self._queue_cv:
+            n = self._drainable()
+            for entry in self._queue[:n]:
+                self._finalize_entry(entry)
+            del self._queue[:n]
             self._queue_cv.notify_all()
 
     def _precommit(self, txn: TxnContext,
                    barriers: frozenset = frozenset()) -> None:
-        """Stamp, log and queue ``txn`` at the reserved timestamp, then
-        publish it. The caller holds the commit mutex (``commit()`` and
-        the relaxed DDL finalize path)."""
+        """Stamp and log ``txn`` at the reserved timestamp, finalize it or
+        queue it behind a barrier, then publish it. The caller holds the
+        commit mutex (``commit()`` and the relaxed DDL finalize path)."""
         cts = self.clock.reserve()
         txn.commit_ts = cts
         for _tid, _arr, _rid, version in txn.write_set:
@@ -621,10 +621,16 @@ class Engine:
         self.log.append_commit(txn)
         if self.trace:
             self.trace.emit(verifier.COMMIT, txn=txn.txn_id, ts=cts)
-        txn.status = TxnStatus.PRE_COMMITTED
-        with self._queue_cv:
-            self._queue.append(_QueueEntry(txn, barriers))
-            self._queue_cv.notify_all()
+        # only this section appends, and ``wake`` removes entries after
+        # finalizing them, so an empty queue means every earlier commit
+        # is final
+        if barriers or self._queue:
+            txn.status = TxnStatus.PRE_COMMITTED
+            with self._queue_cv:
+                self._queue.append(_QueueEntry(txn, barriers))
+            self.wake()
+        else:
+            txn.status = TxnStatus.COMMITTED
         # publish last: begins obtaining a timestamp that admits these
         # versions can only exist once they are stamped
         self.clock.publish(cts)
@@ -639,22 +645,21 @@ class Engine:
                 self._waiting -= 1
 
     def wait_for(self, txn: TxnContext, timeout: float = 30.0) -> TxnStatus:
-        """Block until the transaction's queue entry drains."""
+        """Block until the transaction is finalized."""
         self._wait(lambda: txn.status is not TxnStatus.PRE_COMMITTED, timeout,
                    f"txn {txn.txn_id} stuck pre-committed")
         return txn.status
 
     def drain_now(self, timeout: float = 30.0) -> None:
         """Wait until the queue is empty and finalized (barriers must resolve)."""
-        self._wait(lambda: not self._queue and not self._draining, timeout,
-                   "commit queue did not drain")
+        self._wait(lambda: not self._queue, timeout, "commit queue did not drain")
 
     def quiesce(self, timeout: float = 30.0) -> None:
         """Wait until no transaction is active and every queued entry is
         finalized; after this, superseded arrays/versions are reclaimable
         (the minimal epoch scheme used at desk scale)."""
-        self._wait(lambda: not (self._active or self._queue or self._draining),
-                   timeout, "engine did not quiesce")
+        self._wait(lambda: not (self._active or self._queue), timeout,
+                   "engine did not quiesce")
 
     def oldest_active_begin(self) -> Optional[Timestamp]:
         with self._active_lock:

@@ -617,7 +617,11 @@ def test_criterion_12_scan_bound():
             rid = engine.insert(txn, table,
                                 (rng.randrange(10_000), 7, 7)
                                 + got[0].defaults()[3:])
-            if rid is not None and engine.commit(txn) is not TxnStatus.ABORTED:
+            if rid is None:
+                # refused (a stale schema after finalize): end it, or
+                # quiesce waits for it
+                engine.abort(txn)
+            elif engine.commit(txn) is not TxnStatus.ABORTED:
                 inserted.append((rid, txn.commit_ts))
 
     storms = [threading.Thread(target=insert_storm, args=(i,), daemon=True)

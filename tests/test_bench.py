@@ -105,13 +105,19 @@ class TestConfigFile:
             "policy=lazy\n"
             "duration_sec=1.5\n"
             "retry_aborts=true\n"
-            "ddl add_column table=ycsb col=c3:int64 default=0 policy=lazy\n")
-        cfg, ddl_lines = load_config_file(str(p))
+            "ddl_op=add_column\n")
+        cfg = load_config_file(str(p))
         assert cfg.rows == 1234 and cfg.dml_threads == 3
         assert cfg.policy == "lazy" and cfg.duration_sec == 1.5
-        assert cfg.retry_aborts is True
-        assert ddl_lines == ["ddl add_column table=ycsb col=c3:int64 "
-                             "default=0 policy=lazy"]
+        assert cfg.retry_aborts is True and cfg.ddl_op == "add_column"
+
+    def test_ddl_line_rejected(self, tmp_path):
+        """A ``ddl ...`` line is an unknown key, not a DDL that never runs."""
+        p = tmp_path / "ddl.cfg"
+        p.write_text("rows=10\n"
+                     "ddl add_column table=ycsb col=c3:int64 default=0\n")
+        with pytest.raises(ValueError):
+            load_config_file(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -23,8 +23,6 @@ from evodb.ddl import (
     Policy,
     build_new_schema,
     execute_ddl,
-    parse_constraint,
-    parse_ddl_spec,
     transform_record,
     verify_record,
 )
@@ -411,6 +409,46 @@ class TestRelaxedPolicy:
         assert len(ws) == 1
         table_id, arr, rid, _v = ws[0]
         assert arr is engine.catalog.array and rid == t.table_id
+
+    def test_fail_after_commit_point_leaves_ddl_committed(self, engine,
+                                                          monkeypatch):
+        """An admitted writer that breaks the added constraint right
+        after the DDL's own transaction is stamped has its write refused;
+        the DDL stays committed, and so does the job's outcome."""
+        t = engine.create_table("r5", INT3)
+        engine.load_rows(t, ((i, i, i) for i in range(50)))
+        engine.drain_now()
+        con = ConstraintDef(ConstraintKind.COLUMN_VS_CONST, column="c1",
+                            op="<", const=1000)
+        spec = DdlSpec(kind=DdlOp.ADD_CONSTRAINT, table="r5",
+                       constraints=(con,))
+        real_stop_cdc = ddl._stop_cdc
+        real_precommit = engine._precommit
+        admitted, wrote = [], []
+
+        def begin_admitted(job, stop, threads):
+            if job.t_pre is not None:
+                txn = engine.begin()
+                engine.resolve_schema(txn, t)
+                assert t.table_id in txn.admitted
+                admitted.append(txn)
+            real_stop_cdc(job, stop, threads)
+
+        def precommit_then_violate(txn, *args):
+            real_precommit(txn, *args)
+            if admitted and not wrote:
+                wrote.append(engine.write(admitted[0], t, 5, (5, 5000, 5)))
+
+        monkeypatch.setattr(ddl, "_stop_cdc", begin_admitted)
+        monkeypatch.setattr(engine, "_precommit", precommit_then_violate)
+        res = execute_ddl(engine, spec, Policy.RELAXED)
+        assert wrote == [False]
+        assert res.committed and res.job.outcome == "committed"
+        assert res.job.txn.status is TxnStatus.COMMITTED
+        schema = engine.catalog.latest_committed_schema(t.table_id)
+        assert con in schema.constraints
+        engine.abort(admitted[0])
+        engine.quiesce(timeout=5)
 
 
 @contextlib.contextmanager
@@ -958,22 +996,3 @@ class TestBenchmarkHooks:
         assert res.job.cdc_end_lsn > res.job.cdc_start_lsn
         assert any("_cdc_worker" in name for name in readers)
 
-
-class TestDdlTextForm:
-    def test_parse_add_column_line(self):
-        spec, policy, scan, cdc = parse_ddl_spec(
-            "ddl add_column table=ycsb col=c4:int64 default=0 "
-            "policy=relaxed scan_threads=3 cdc_threads=5")
-        assert spec.kind is DdlOp.ADD_COLUMN and spec.table == "ycsb"
-        assert spec.column.name == "c4" and spec.column.default == 0
-        assert policy is Policy.RELAXED and (scan, cdc) == (3, 5)
-
-    def test_parse_constraint_forms(self):
-        c = parse_constraint("c2<100")
-        assert c.column == "c2" and c.op == "<" and c.const == 100
-        n = parse_constraint("notnull:c1")
-        assert n.kind is ConstraintKind.NOT_NULL and n.column == "c1"
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            parse_ddl_spec("ddl frobnicate table=x")

@@ -1,6 +1,7 @@
 """The engine waits on events and conditions, not on sleeps: the only
-``time.sleep`` in the engine modules is the DDL pacer's, and the commit
-drainer never re-checks its condition on a timeout."""
+``time.sleep`` in the engine modules is the DDL pacer's. A commit
+finalizes in its own thread: the transaction module starts no thread
+that could poll."""
 
 import ast
 from pathlib import Path
@@ -45,22 +46,8 @@ def test_only_the_pacer_sleeps():
     assert [(m, s) for m, s, _ in found] == [("ddl", "_Pacer")], found
 
 
-def test_drainer_waits_without_timeout():
-    loops = [f for f in ast.walk(_tree("txn"))
-             if isinstance(f, ast.FunctionDef) and f.name == "_drain_loop"]
-    assert len(loops) == 1
-    timed = []
-    for loop in ast.walk(loops[0]):
-        if not isinstance(loop, ast.While):
-            continue
-        for call in ast.walk(loop):
-            if not (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in ("wait", "wait_for")):
-                continue
-            # wait(timeout) or wait_for(predicate, timeout)
-            positional = call.args[1:] if call.func.attr == "wait_for" \
-                else call.args
-            if positional or any(k.arg == "timeout" for k in call.keywords):
-                timed.append(call.lineno)
-    assert not timed, f"timed waits in the drainer loop at lines {timed}"
+def test_txn_starts_no_thread():
+    threads = [call.lineno for call, _scope in _calls(_tree("txn"), "")
+               if getattr(call.func, "attr", getattr(call.func, "id", None))
+               == "Thread"]
+    assert not threads, f"threading.Thread built in txn.py at lines {threads}"

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from evodb import ColumnDef, DType, Engine, TxnStatus
-from evodb import core_store
+from evodb import core_store, ddl
 from evodb.catalog import SchemaVersion
 from evodb.ddl import DdlOp, DdlSpec, Policy, execute_ddl
 
@@ -145,37 +145,87 @@ class TestAbort:
         assert txn.status is TxnStatus.ABORTED
 
 
+class TestIndexMaintenance:
+    """An update that changes an indexed column moves the index entry."""
+
+    def _keyed(self, engine, name):
+        t = engine.create_table(name, INT3, key_cols=("c0",))
+        engine.load_rows(t, ((i, i % 3, i) for i in range(10)))
+        engine.drain_now()
+        return t
+
+    def _update(self, engine, t, *writes):
+        txn = engine.begin()
+        for rid, values in writes:
+            assert engine.write(txn, t, rid, values)
+        return engine.commit(txn)
+
+    def test_key_change_moves_primary_entry(self, engine):
+        t = self._keyed(engine, "ik1")
+        assert self._update(engine, t, (3, (100, 0, 3))) \
+            is not TxnStatus.ABORTED
+        txn = engine.begin()
+        assert engine.lookup(txn, t, (100,)) == (100, 0, 3)
+        assert engine.lookup(txn, t, (3,)) is None
+        engine.abort(txn)
+        txn = engine.begin()
+        assert engine.insert(txn, t, (3, 9, 9)) is not None
+        assert engine.commit(txn) is not TxnStatus.ABORTED
+
+    def test_key_change_moves_secondary_entry(self, engine):
+        t = self._keyed(engine, "ik2")
+        spec = DdlSpec(kind=DdlOp.CREATE_INDEX, table="ik2",
+                       index_cols=("c2",), index_name="by_c2")
+        assert execute_ddl(engine, spec, Policy.RELAXED).committed
+        assert self._update(engine, t, (4, (4, 1, 40))) \
+            is not TxnStatus.ABORTED
+        txn = engine.begin()
+        assert engine.lookup(txn, t, (40,), "by_c2") == (4, 1, 40)
+        assert engine.lookup(txn, t, (4,), "by_c2") is None
+        assert engine.lookup(txn, t, (4,)) == (4, 1, 40)
+        engine.abort(txn)
+
+    def test_key_swap_in_one_transaction(self, engine):
+        t = self._keyed(engine, "ik3")
+        assert self._update(engine, t, (1, (2, 1, 1)), (2, (1, 2, 2))) \
+            is not TxnStatus.ABORTED
+        txn = engine.begin()
+        assert engine.lookup(txn, t, (1,)) == (1, 2, 2)
+        assert engine.lookup(txn, t, (2,)) == (2, 1, 1)
+        engine.abort(txn)
+        assert len(t.indexes["primary"]) == 10
+
+
 class TestPipelinedQueue:
-    def test_barriered_txn_commits_when_ddl_finalizes(self, engine):
+    def test_barriered_txn_commits_when_ddl_finalizes(self, engine,
+                                                      monkeypatch):
+        """A transaction admitted under the pending schema and committed
+        inside the window waits on the job; the DDL's finalize commits
+        it. The window is held open by running the transaction at the
+        point where the DDL stops change data capture after ``t_pre``."""
         t = engine.create_table("b1", INT3)
         engine.load_rows(t, ((i, i, i) for i in range(2000)))
         engine.drain_now()
         spec = DdlSpec(kind=DdlOp.ADD_COLUMN, table="b1",
                        column=ColumnDef("c3", DType.INT64, default=0))
-        results = {}
+        real_stop_cdc = ddl._stop_cdc
+        caught = []
 
-        def ddl():
-            results["ddl"] = execute_ddl(engine, spec, Policy.RELAXED)
+        def commit_in_window(job, stop, threads):
+            if job.t_pre is not None:
+                txn = engine.begin()
+                got = engine.resolve_schema(txn, t)
+                assert got and txn.admitted
+                assert engine.write(txn, t, 1, (1, 5, 5, 0))
+                caught.append((txn, engine.commit(txn)))
+            real_stop_cdc(job, stop, threads)
 
-        th = threading.Thread(target=ddl)
-        th.start()
-        # while the job runs, grab a txn that lands under the pending schema
-        admitted = None
-        deadline = time.monotonic() + 10
-        while admitted is None and time.monotonic() < deadline:
-            txn = engine.begin()
-            got = engine.resolve_schema(txn, t)
-            if got and txn.admitted:
-                if engine.write(txn, t, 1, (1, 5, 5, 0)):
-                    admitted = txn
-                    break
-            engine.abort(txn)
-        th.join()
-        assert results["ddl"].committed
-        if admitted is not None:  # timing-dependent but usually caught
-            status = engine.commit(admitted)
-            assert status is not TxnStatus.ABORTED
-            assert engine.wait_for(admitted) is TxnStatus.COMMITTED
+        monkeypatch.setattr(ddl, "_stop_cdc", commit_in_window)
+        result = execute_ddl(engine, spec, Policy.RELAXED)
+        assert result.committed
+        [(admitted, status)] = caught
+        assert status is not TxnStatus.ABORTED
+        assert engine.wait_for(admitted) is TxnStatus.COMMITTED
 
     def test_admitted_txn_aborts_when_ddl_aborts(self, engine):
         """A transaction admitted under a pending schema is barriered and
@@ -189,9 +239,10 @@ class TestPipelinedQueue:
         job.resolve("aborted")
         assert engine.wait_for(victim) is TxnStatus.ABORTED
 
-    def test_drain_now_waits_for_finalize(self, engine, table3):
-        """drain_now, quiesce and wait_for return only after the drained
-        entries are finalized, not when the drainer pops them."""
+    def test_drain_now_waits_for_finalize(self, engine):
+        """drain_now, quiesce and wait_for return only after the entries
+        a resolving job releases are finalized, not when they leave the
+        queue."""
         real = engine._finalize_entry
 
         def slow(entry):
@@ -200,16 +251,35 @@ class TestPipelinedQueue:
 
         engine._finalize_entry = slow
         for name in ("drain_now", "quiesce", "wait_for"):
-            txn = engine.begin()
-            engine.write(txn, table3, 0, (0, 1, 2))
-            assert engine.commit(txn) is TxnStatus.PRE_COMMITTED
+            t, job, ddl_txn, txn = _barriered_commit(engine, f"w_{name}")
+            resolver = threading.Timer(0.05, _commit_ddl,
+                                       (engine, t, job, ddl_txn))
+            resolver.start()
             getattr(engine, name)(*((txn,) if name == "wait_for" else ()))
             assert txn.status is TxnStatus.COMMITTED, name
+            resolver.join()
+
+    def test_commit_finalizes_inline_unless_held_back(self, engine, table3):
+        """A barrier-free commit returns COMMITTED; one queued behind a
+        barriered commit stays pre-committed until the barrier resolves."""
+        txn = engine.begin()
+        assert engine.write(txn, table3, 0, (0, 1, 2))
+        assert engine.commit(txn) is TxnStatus.COMMITTED
+        t, job, ddl_txn, victim = _barriered_commit(engine, "b5")
+        behind = engine.begin()
+        assert engine.write(behind, table3, 1, (1, 1, 1))
+        assert engine.commit(behind) is TxnStatus.PRE_COMMITTED
+        with pytest.raises(TimeoutError):
+            engine.wait_for(behind, timeout=0.1)
+        _commit_ddl(engine, t, job, ddl_txn)
+        assert victim.status is TxnStatus.COMMITTED
+        assert behind.status is TxnStatus.COMMITTED
+        assert ddl_txn.status is TxnStatus.COMMITTED
+        engine.quiesce(timeout=5)
 
     def test_close_waits_without_spinning_on_barriered_head(self, engine):
-        """close() while the queue head waits on an unresolved job: the
-        drainer sleeps until the job resolves, then finalizes the entry
-        and exits."""
+        """close() while the queue head waits on an unresolved job: it
+        sleeps until the job resolves, which finalizes the entry."""
         t, job, _ddl_txn, victim = _barriered_commit(engine, "b3")
         closer = threading.Thread(target=engine.close)
         cpu0 = time.process_time()
@@ -220,7 +290,6 @@ class TestPipelinedQueue:
         job.resolve("committed")
         closer.join(timeout=5)
         assert not closer.is_alive()
-        assert not engine._drainer.is_alive()
         assert victim.status is TxnStatus.COMMITTED
 
     def test_waits_wake_under_contention(self, engine, table3):
@@ -258,6 +327,51 @@ class TestPipelinedQueue:
             sys.setswitchinterval(old)
         assert len(queued) == 800
         assert all(t.status is TxnStatus.COMMITTED for t in queued)
+
+    def test_resolve_races_committers(self, engine, table3):
+        """Committers race a job's resolution with a tiny switch interval:
+        the commits held behind the barrier finalize in commit order, and
+        none is left pre-committed."""
+        t, job, ddl_txn, victim = _barriered_commit(engine, "b6")
+        finalized = []
+        real = engine._finalize_entry
+
+        def record(entry):
+            finalized.append(entry.txn.commit_ts)
+            real(entry)
+
+        engine._finalize_entry = record
+        committed = []
+        halfway = threading.Event()
+
+        def worker(i):
+            for k in range(100):
+                txn = engine.begin()
+                assert engine.write(txn, table3, i, (i, k, k))
+                assert engine.commit(txn) is not TxnStatus.ABORTED
+                committed.append(txn)
+                if k == 50:
+                    halfway.set()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for th in threads:
+                th.start()
+            assert halfway.wait(timeout=10)
+            _commit_ddl(engine, t, job, ddl_txn)
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            engine.quiesce(timeout=5)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(committed) == 400
+        assert all(txn.status is TxnStatus.COMMITTED
+                   for txn in committed + [victim, ddl_txn])
+        assert finalized == sorted(finalized) and len(finalized) > 2
 
     def test_empty_queue_drain_noop(self, engine):
         engine.drain_now()
@@ -325,3 +439,15 @@ def _barriered_commit(engine, name):
     status = engine.commit(victim)
     assert status is TxnStatus.PRE_COMMITTED  # waiting on the barrier
     return t, job, ddl_txn, victim
+
+
+def _commit_ddl(engine, t, job, ddl_txn):
+    """Finalize a job from ``_barriered_commit`` as the relaxed runner
+    does: commit the DDL transaction, then resolve the job."""
+    with engine._commit_mutex:
+        job.commit_ts = engine.clock.reserve()
+        engine.catalog.finalize_schema(t.table_id, job.commit_ts)
+        engine._precommit(ddl_txn)
+    engine._deactivate(ddl_txn)
+    t.active_ddl = None
+    job.resolve("committed")
