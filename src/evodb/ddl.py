@@ -81,15 +81,6 @@ class DdlOp(Enum):
     DROP_TABLE = "drop_table"
 
 
-class Phase(Enum):
-    INSTALLING = "installing"
-    SCANNING = "scanning"
-    CDC = "cdc"
-    FINALIZING = "finalizing"
-    DONE = "done"
-    ABORTED = "aborted"
-
-
 @dataclass
 class DdlSpec:
     """Declarative description of one schema-evolution operation."""
@@ -144,9 +135,10 @@ class DdlJob:
         self.scan_bound: int = 0
         self.cdc_start_lsn: int = 0
         self.cdc_end_lsn: Optional[int] = None
-        # per-chunk scan progress; change data capture skips records the
-        # scan has not reached (their latest version gets migrated there)
-        self.chunk_started: bytearray = bytearray()
+        # per scan chunk, the log tail read just before the scan started it
+        # (inf until then): change data capture skips a record logged below
+        # it, since the scan read that version or a newer one
+        self.chunk_lsn: list[float] = []
         # next log position of each change-data-capture worker
         self.worker_pos: list[int] = []
         self.t_pre: Optional[int] = None
@@ -155,7 +147,6 @@ class DdlJob:
         # schema (or, for index and new-table kinds, the pre-commit point)
         self.t_pre_published = threading.Event()
         self.commit_ts: Optional[int] = None
-        self.phase = Phase.INSTALLING
         self.scan_visits = 0
         self.cdc_installs = 0
         self.failure: Optional[str] = None
@@ -177,7 +168,6 @@ class DdlJob:
 
     def resolve(self, outcome: str) -> None:
         self.outcome = outcome
-        self.phase = Phase.DONE if outcome == "committed" else Phase.ABORTED
         self.resolved.set()
         self.engine.wake()
 
@@ -656,7 +646,6 @@ def _run_in_place(job: DdlJob) -> DdlResult:
     if job.failed:
         return _abort_job(job, job.failure)
     arr = job.old_array
-    job.phase = Phase.SCANNING
     for rid in range(table.next_rid):
         if not arr.covers(rid):
             continue
@@ -669,7 +658,6 @@ def _run_in_place(job: DdlJob) -> DdlResult:
         plan.apply(rid, found[0])
         if job.failed:
             return _abort_job(job, job.failure)
-    job.phase = Phase.FINALIZING
     plan.seal()
     if job.failed:
         return _abort_job(job, job.failure)
@@ -781,8 +769,8 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
     # insert between the two snapshots is covered by change data capture
     job.cdc_start_lsn = engine.log.current_lsn()
     job.scan_bound = table.next_rid
-    job.chunk_started = bytearray((job.scan_bound + SCAN_CHUNK - 1) // SCAN_CHUNK)
-    job.phase = Phase.SCANNING
+    job.chunk_lsn = [float("inf")] * ((job.scan_bound + SCAN_CHUNK - 1)
+                                      // SCAN_CHUNK)
 
     job.worker_pos = [job.cdc_start_lsn] * job.cdc_workers
     cdc_stop = threading.Event()
@@ -821,7 +809,6 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
             job.cdc_end_lsn = engine.log.current_lsn()
         engine.clock.publish(t_pre)
     job.t_pre_published.set()
-    job.phase = Phase.CDC
     # workers replay up to cdc_end_lsn, or (index and new-table kinds) up
     # to the live tail; the finalize section replays the remainder
     _stop_cdc(job, cdc_stop, cdc_threads)
@@ -829,7 +816,6 @@ def _run_relaxed(job: DdlJob) -> DdlResult:
         return _abort_job(job, job.failure)
 
     # finalize
-    job.phase = Phase.FINALIZING
     with engine._commit_mutex:
         if plan.to_tail and not job.failed:
             job.cdc_end_lsn = engine.log.current_lsn()
@@ -874,7 +860,7 @@ def _scan_worker(job: DdlJob, idx: int, plan: _Plan) -> None:
             if job.failed:
                 break
             pacer.pace()
-            job.chunk_started[chunk // SCAN_CHUNK] = 1
+            job.chunk_lsn[chunk // SCAN_CHUNK] = job.engine.log.current_lsn()
             for rid in range(chunk, min(chunk + SCAN_CHUNK, job.scan_bound)):
                 visits += 1
                 if not arr.covers(rid):
@@ -962,12 +948,13 @@ def _stop_cdc(job: DdlJob, stop: threading.Event,
 
 def _cdc_worker(job: DdlJob, idx: int, plan: _Plan,
                 stop: threading.Event) -> None:
-    """Consume the redo log from the job's bookmark, transforming and
-    installing concurrent updates (newest-wins, stale replays discarded).
-    Works in steps of CDC_STEP log records, each awaited in
-    ``RedoLog.wait_for_tail`` and, until ``t_pre``, paced by the scan's
-    share rule (``_Pacer``). Stopped right after ``t_pre``, it replays the
-    rest unpaced: admitted transactions wait on it."""
+    """Consume the redo log from the job's bookmark, migrating this
+    worker's share of the changed records (``rid % nworkers``) by
+    ``_replay_span``'s rules (a) and (b): a record's newest version, once,
+    unless the scan read it. Works in steps of CDC_STEP log records, each
+    awaited in ``RedoLog.wait_for_tail`` and, until ``t_pre``, paced by
+    the scan's share rule (``_Pacer``). Stopped right after ``t_pre``, it
+    replays the rest unpaced: admitted transactions wait on it."""
     log = job.engine.log
     nworkers = len(job.worker_pos)
     pos = job.cdc_start_lsn
@@ -994,49 +981,28 @@ def _cdc_worker(job: DdlJob, idx: int, plan: _Plan,
                 return  # stopped and caught up
 
 
-def _replay_record(job: DdlJob, rec, plan: _Plan) -> None:
-    """Replay one redo record into the migration target. The source
-    version is re-located on the old chain so records whose transaction
-    was cascade-aborted after logging are skipped."""
-    arr = job.old_array
-    if job.new_array is not None and job.new_array.covers(rec.rid):
-        # cheap staleness pre-check: the scan (or an earlier replay) may
-        # already have installed something at least as fresh beneath the
-        # migration boundary (admitted-era versions do not count)
-        head = job.new_array.head(rec.rid)
-        for v in (head.chain() if head is not None else ()):
-            if not v.is_committed:
-                continue
-            if job.t_pre is not None and v.commit_ts > job.t_pre:
-                continue
-            if v.commit_ts >= rec.commit_ts:
-                return
-            break
-    if not arr.covers(rec.rid):
-        return
-    head = arr.head(rec.rid)
-    for v in (head.chain() if head is not None else ()):
-        if v.is_committed:
-            if v.commit_ts == rec.commit_ts:
-                if plan.apply(rec.rid, v):
-                    job.cdc_installs += 1
-                return
-            if v.commit_ts < rec.commit_ts:
-                return
-
-
 def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
                  idx: int = 0, nworkers: int = 1) -> None:
-    """Replay worker ``idx``'s share of the table's log records in
-    [start, end), skipping records an unstarted scan chunk will migrate
-    fresher (CDC steps, and the to-the-tail finalize of some kinds)."""
+    """Migrate, for worker ``idx``'s share of the table's records
+    (``rid % nworkers``), the newest committed version of each record the
+    log records in [start, end) name, with the scan's own step.
+
+    A record is replayed only (a) when the newest committed version is the
+    one it names: a later record names a newer version, or a cascade abort
+    unlinked this one; and (b) when it was logged at or after the position
+    at which the scan started the record's chunk: a commit stamps its
+    versions before it logs them, so the scan read the version an earlier
+    record names, or a newer one (an unstarted chunk's position is inf)."""
+    arr = job.old_array
     for rec in job.engine.log.scan(start, job.table.table_id, end_lsn=end):
-        if rec.lsn % nworkers != idx:
+        rid = rec.rid
+        if rid % nworkers != idx:
             continue
-        if rec.rid < job.scan_bound \
-                and not job.chunk_started[rec.rid // SCAN_CHUNK]:
+        if rid < job.scan_bound and rec.lsn < job.chunk_lsn[rid // SCAN_CHUNK]:
             continue
-        _replay_record(job, rec, plan)
+        v = core_store.latest_committed(arr, rid)
+        if v is not None and v.commit_ts == rec.commit_ts and plan.apply(rid, v):
+            job.cdc_installs += 1
         if job.failed:
             return
 

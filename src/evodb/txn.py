@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import struct
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator, Optional
 
@@ -98,7 +97,7 @@ class GlobalClock:
 class TxnContext:
     __slots__ = ("txn_id", "begin_ts", "commit_ts", "status", "write_set",
                  "schema_set", "schema_cache", "admitted", "index_ops",
-                 "abort_reason", "held_locks", "_traced_schemas")
+                 "abort_reason", "held_locks")
 
     def __init__(self, txn_id: int, begin_ts: Timestamp) -> None:
         self.txn_id = txn_id
@@ -118,7 +117,6 @@ class TxnContext:
         self.abort_reason: Optional[str] = None
         # table reader locks held for the txn's lifetime (blocking policy)
         self.held_locks: list[Any] = []
-        self._traced_schemas: set[int] = set()
 
     def iter_log_writes(self) -> Iterator[tuple[int, Rid, Version]]:
         for table_id, _array, rid, version in self.write_set:
@@ -126,12 +124,6 @@ class TxnContext:
 
     def __repr__(self) -> str:
         return f"<Txn {self.txn_id} begin={self.begin_ts} {self.status.value}>"
-
-
-@dataclass
-class _QueueEntry:
-    txn: TxnContext
-    barriers: frozenset
 
 
 def encode_key(values: tuple) -> bytes:
@@ -183,7 +175,7 @@ class Engine:
         self._txn_ids = itertools.count(1)
         self._active: dict[int, TxnContext] = {}
         self._active_lock = threading.Lock()
-        self._queue: list[_QueueEntry] = []
+        self._queue: list[TxnContext] = []
         self._queue_cv = threading.Condition()
         self._waiting = 0  # callers blocked in wait_for/drain_now/quiesce
 
@@ -247,8 +239,7 @@ class Engine:
             if job is not None and job.pending_schema is got[0]:
                 txn.admitted[tid] = job
         txn.schema_cache[tid] = got
-        if self.trace and got is not None and tid not in txn._traced_schemas:
-            txn._traced_schemas.add(tid)
+        if self.trace and got is not None:
             schema = got[0]
             # a transaction that began in the pending window but resolves
             # the schema after finalize still uses the version it was
@@ -451,7 +442,6 @@ class Engine:
 
     def commit(self, txn: TxnContext) -> TxnStatus:
         assert txn.status is TxnStatus.ACTIVE
-        barriers = frozenset(txn.admitted.values())
         with self._commit_mutex:
             conflict = self._validate_schema_set(txn)
             if conflict is not None:
@@ -462,7 +452,7 @@ class Engine:
                     txn.abort_reason = "duplicate_key"
             failed = txn.abort_reason is not None
             if not failed:
-                self._precommit(txn, barriers)
+                self._precommit(txn)
         if failed:
             self._abort_internal(txn)
             return TxnStatus.ABORTED
@@ -532,7 +522,6 @@ class Engine:
                 relaxed = job is not None and job.relaxed
                 if relaxed and head.next is not None and head.next.payload is used:
                     continue  # relaxed scan phase: old-array writers may commit
-                return "schema_conflict"
             return "schema_conflict"
         return None
 
@@ -581,17 +570,16 @@ class Engine:
     # -- commit queue --------------------------------------------------------
 
     def _drainable(self) -> int:
-        """Length of the queue's prefix whose barriers have all resolved."""
+        """Length of the queue's prefix whose admitting jobs have resolved."""
         n = 0
-        for entry in self._queue:
-            if not all(job.resolved.is_set() for job in entry.barriers):
+        for txn in self._queue:
+            if not all(job.resolved.is_set() for job in txn.admitted.values()):
                 break
             n += 1
         return n
 
-    def _finalize_entry(self, entry: _QueueEntry) -> None:
-        txn = entry.txn
-        if txn.admitted and any(j.outcome == "aborted" for j in entry.barriers):
+    def _finalize_entry(self, txn: TxnContext) -> None:
+        if any(j.outcome == "aborted" for j in txn.admitted.values()):
             # the pending schema this transaction depended on was revoked
             txn.abort_reason = "ddl_aborted"
             self._unlink(txn)
@@ -604,13 +592,12 @@ class Engine:
         resolved DDL job released), then notify every waiter."""
         with self._queue_cv:
             n = self._drainable()
-            for entry in self._queue[:n]:
-                self._finalize_entry(entry)
+            for txn in self._queue[:n]:
+                self._finalize_entry(txn)
             del self._queue[:n]
             self._queue_cv.notify_all()
 
-    def _precommit(self, txn: TxnContext,
-                   barriers: frozenset = frozenset()) -> None:
+    def _precommit(self, txn: TxnContext) -> None:
         """Stamp and log ``txn`` at the reserved timestamp, finalize it or
         queue it behind a barrier, then publish it. The caller holds the
         commit mutex (``commit()`` and the relaxed DDL finalize path)."""
@@ -624,10 +611,10 @@ class Engine:
         # only this section appends, and ``wake`` removes entries after
         # finalizing them, so an empty queue means every earlier commit
         # is final
-        if barriers or self._queue:
+        if txn.admitted or self._queue:
             txn.status = TxnStatus.PRE_COMMITTED
             with self._queue_cv:
-                self._queue.append(_QueueEntry(txn, barriers))
+                self._queue.append(txn)
             self.wake()
         else:
             txn.status = TxnStatus.COMMITTED

@@ -364,6 +364,57 @@ class TestRelaxedPolicy:
         assert head.commit_ts == updated["ts"]
         assert res.job.cdc_installs >= 1
 
+    def test_cdc_migrates_only_the_newest_version(self, engine, monkeypatch):
+        """Two updates to rid 0 commit after the scan passed it; only the
+        second is the record's newest version, so only it is checked
+        against the constraint the DDL adds."""
+        t = engine.create_table("r6", INT3)
+        engine.load_rows(t, ((i, i, i) for i in range(2000)))
+        engine.drain_now()
+        real = ddl.transform_record
+        fired = []
+
+        def update_past_rid0(payload, *args, **kwargs):
+            if not fired and payload[1] == 1:
+                fired.append(True)
+                for values in ((0, 5000, 0), (0, 5, 0)):
+                    txn = engine.begin()
+                    assert engine.write(txn, t, 0, values)
+                    assert engine.commit(txn) is not TxnStatus.ABORTED
+            return real(payload, *args, **kwargs)
+
+        monkeypatch.setattr(ddl, "transform_record", update_past_rid0)
+        con = ConstraintDef(ConstraintKind.COLUMN_VS_CONST, column="c1",
+                            op="<", const=3000)
+        res = execute_ddl(engine, DdlSpec(kind=DdlOp.ADD_CONSTRAINT,
+                                          table="r6", constraints=(con,)),
+                          Policy.RELAXED)
+        assert fired and res.committed, res.reason
+        assert engine.materialize(t)[0] == (0, 5, 0)
+
+    def test_cdc_skips_records_the_scan_read(self, engine, monkeypatch):
+        """An update committed before the scan reaches its chunk is
+        migrated by the scan; change data capture never transforms it."""
+        t = engine.create_table("r7", INT3)
+        engine.load_rows(t, ((i, i, i) for i in range(20_000)))
+        engine.drain_now()
+        real = ddl.transform_record
+        threads = set()
+
+        def update_ahead(payload, *args, **kwargs):
+            threads.add(threading.current_thread().name)
+            if payload[1] == 1:  # rid 1, in the scan's first chunk
+                txn = engine.begin()
+                assert engine.write(txn, t, 10_000, (10_000, 42, 42))
+                assert engine.commit(txn) is not TxnStatus.ABORTED
+            return real(payload, *args, **kwargs)
+
+        monkeypatch.setattr(ddl, "transform_record", update_ahead)
+        res = execute_ddl(engine, add_col_spec("r7"), Policy.RELAXED)
+        assert res.committed, res.reason
+        assert engine.materialize(t)[10_000] == (10_000, 42, 42, 0)
+        assert threads and not any("_cdc_worker" in n for n in threads)
+
     def test_inserts_beyond_scan_bound_arrive_via_cdc(self, engine):
         t = engine.create_table("r3", INT3)
         engine.load_rows(t, ((i, i, i) for i in range(20_000)))

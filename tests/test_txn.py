@@ -336,9 +336,9 @@ class TestPipelinedQueue:
         finalized = []
         real = engine._finalize_entry
 
-        def record(entry):
-            finalized.append(entry.txn.commit_ts)
-            real(entry)
+        def record(txn):
+            finalized.append(txn.commit_ts)
+            real(txn)
 
         engine._finalize_entry = record
         committed = []
