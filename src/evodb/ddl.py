@@ -950,7 +950,7 @@ def _cdc_worker(job: DdlJob, idx: int, plan: _Plan,
                 stop: threading.Event) -> None:
     """Consume the redo log from the job's bookmark, migrating this
     worker's share of the changed records (``rid % nworkers``) by
-    ``_replay_span``'s rules (a) and (b): a record's newest version, once,
+    ``_replay_span``'s rules (a) and (b): a record's newest version,
     unless the scan read it. Works in steps of CDC_STEP log records, each
     awaited in ``RedoLog.wait_for_tail`` and, until ``t_pre``, paced by
     the scan's share rule (``_Pacer``). Stopped right after ``t_pre``, it
@@ -988,11 +988,13 @@ def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
     log records in [start, end) name, with the scan's own step.
 
     A record is replayed only (a) when the newest committed version is the
-    one it names: a later record names a newer version, or a cascade abort
-    unlinked this one; and (b) when it was logged at or after the position
-    at which the scan started the record's chunk: a commit stamps its
-    versions before it logs them, so the scan read the version an earlier
-    record names, or a newer one (an unstarted chunk's position is inf)."""
+    one it names or an older one: a newer one is named by a later record,
+    and an older one means a cascade abort unlinked the named one, so the
+    newest is what the record leaves; and (b) when it was logged at or
+    after the position at which the scan started the record's chunk: a
+    commit stamps its versions before it logs them, so the scan read the
+    version an earlier record names, or a newer one (an unstarted chunk's
+    position is inf)."""
     arr = job.old_array
     for rec in job.engine.log.scan(start, job.table.table_id, end_lsn=end):
         rid = rec.rid
@@ -1001,7 +1003,8 @@ def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
         if rid < job.scan_bound and rec.lsn < job.chunk_lsn[rid // SCAN_CHUNK]:
             continue
         v = core_store.latest_committed(arr, rid)
-        if v is not None and v.commit_ts == rec.commit_ts and plan.apply(rid, v):
+        if v is not None and v.commit_ts <= rec.commit_ts \
+                and plan.apply(rid, v):
             job.cdc_installs += 1
         if job.failed:
             return

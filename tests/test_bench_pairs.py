@@ -57,6 +57,19 @@ def test_wide_parent_spread_is_unresolved():
     assert not tps["regressed"]
 
 
-def test_parse_seeds():
-    assert bench_pairs.parse_seeds("1-3") == [1, 2, 3]
-    assert bench_pairs.parse_seeds("2,5") == [2, 5]
+
+def test_wide_parent_spread_with_every_change_run_better_is_resolved():
+    runs = [_run("parent", s, v, 1.0) for s, v in ((1, 50.0), (2, 100.0),
+                                                    (3, 150.0))]
+    runs += [_run("change", s, 151.0 + s, 1.0) for s in (1, 2, 3)]
+    tps = bench_pairs.summarize(runs, END_TO_END)["migrate"]["txn_per_s"]
+    assert tps["parent_iqr"] == 50.0 and not tps["unresolved"]
+    # a lower-is-better metric: every change run below every parent run
+    runs = [_run("parent", s, 100.0, d) for s, d in ((1, 1.0), (2, 2.0),
+                                                      (3, 3.0))]
+    runs += [_run("change", s, 100.0, 0.9) for s in (1, 2, 3)]
+    ddl = bench_pairs.summarize(runs, END_TO_END)["migrate"]["ddl_s"]
+    assert ddl["parent_iqr"] == 1.0 and not ddl["unresolved"]
+    runs[-1] = _run("change", 3, 100.0, 1.5)
+    ddl = bench_pairs.summarize(runs, END_TO_END)["migrate"]["ddl_s"]
+    assert ddl["unresolved"]

@@ -392,6 +392,57 @@ class TestRelaxedPolicy:
         assert fired and res.committed, res.reason
         assert engine.materialize(t)[0] == (0, 5, 0)
 
+    def test_cdc_replays_past_a_cascade_aborted_version(self, engine,
+                                                        monkeypatch):
+        """After the scan passed rid 0, an update commits to it, then a
+        transaction admitted under another table's pending schema updates
+        it again. That schema is revoked while change data capture is
+        between the two records: the admitted update is unlinked, and the
+        first update is what the new array ends with."""
+        x = engine.create_table("x1", INT3)
+        engine.load_rows(x, ((i, i, i) for i in range(10)))
+        y = engine.create_table("y1", INT3)
+        engine.load_rows(y, ((i, i, i) for i in range(2000)))
+        engine.drain_now()
+        real_transform = ddl.transform_record
+        real_latest = core_store.latest_committed
+        x_job = contextlib.ExitStack()
+        admitted = []
+
+        def update_past_rid0(payload, *args, **kwargs):
+            if not admitted and payload[1] == 1:
+                txn = engine.begin()
+                assert engine.write(txn, y, 0, (0, 5, 0))
+                assert engine.commit(txn) is TxnStatus.COMMITTED
+                x_job.enter_context(pending_add_column(engine, x))
+                txn = engine.begin()
+                assert engine.write(txn, x, 0, (0, 0, 0, 0))
+                assert x.table_id in txn.admitted
+                assert engine.write(txn, y, 0, (0, 7, 0))
+                assert engine.commit(txn) is TxnStatus.PRE_COMMITTED
+                admitted.append(txn)
+            return real_transform(payload, *args, **kwargs)
+
+        def revoke_between_records(arr, rid):
+            v = real_latest(arr, rid)
+            if rid == 0 and admitted and v is not None \
+                    and v.commit_ts == admitted[0].commit_ts \
+                    and "_cdc_worker" in threading.current_thread().name:
+                x_job.close()  # revoke x's pending schema
+                assert engine.wait_for(admitted[0]) is TxnStatus.ABORTED
+            return v
+
+        monkeypatch.setattr(ddl, "transform_record", update_past_rid0)
+        monkeypatch.setattr(core_store, "latest_committed",
+                            revoke_between_records)
+        try:
+            res = execute_ddl(engine, add_col_spec("y1"), Policy.RELAXED)
+        finally:
+            x_job.close()
+        assert res.committed, res.reason
+        assert admitted[0].status is TxnStatus.ABORTED
+        assert engine.materialize(y)[0] == (0, 5, 0, 0)
+
     def test_cdc_skips_records_the_scan_read(self, engine, monkeypatch):
         """An update committed before the scan reaches its chunk is
         migrated by the scan; change data capture never transforms it."""

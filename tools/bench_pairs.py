@@ -1,17 +1,20 @@
 """Run the benchmark in alternating pairs against a parent checkout and
 write one BENCH file.
 
-    python3 tools/bench_pairs.py --parent ../parent --seeds 1-10 \\
-        --workloads oltp migrate tpcc --out BENCH_1.json
+    python3 tools/bench_pairs.py --parent ../parent --out BENCH_1.json
 
 For each workload and seed it runs ``perfbench/run.py --trace 0`` once in
 the parent checkout and once in this tree, alternating which side runs
-first, then one ``--trace 1`` run per side (first seed). The file holds
-the CPU count, the Python version, each side's commit, every run's result
-line and, per workload and end-to-end metric, each side's median and
-inter-quartile range, the change's win count over the pairs (ties count
-for neither side; "better" is taken from BENCHMARK.json) and whether the
-parent's own spread is wider than the metric's bound (unresolved).
+first, then one ``--trace 1`` run per side (first seed). Both checkouts
+must be committed, so that each side's commit names the code that ran.
+The file holds the CPU count, the Python version, each side's commit and
+the git tree of its ``src/`` (which a later commit can be checked
+against), every run's result line and, per workload and end-to-end
+metric, each side's median and inter-quartile range, the change's win
+count over the pairs (ties count for neither side; "better" is taken
+from BENCHMARK.json) and whether the metric is unresolved: the parent's
+own spread is wider than the metric's bound, and not every change run
+reads better than every parent run.
 """
 
 from __future__ import annotations
@@ -27,27 +30,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEEDS = tuple(range(1, 11))
+WORKLOADS = ("oltp", "migrate", "tpcc")
 
 
-def parse_seeds(text: str) -> list[int]:
-    """``"1-10"`` or ``"1,3,5"`` -> the listed seeds."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
-
-
-def commit_of(tree: Path) -> str:
-    """HEAD of the checkout, marked ``+dirty`` when its files differ."""
+def commit_of(tree: Path) -> dict:
+    """HEAD of the checkout and the git tree of its ``src/``; exits when
+    tracked files differ from HEAD, which then does not name what runs."""
     def git(*args: str) -> str:
         return subprocess.run(("git", "-C", str(tree)) + args, text=True,
                               capture_output=True, check=True).stdout.strip()
-    try:
-        head = git("rev-parse", "HEAD")
-        return head + ("+dirty" if git("status", "--porcelain",
-                                       "--untracked-files=no") else "")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+    if git("status", "--porcelain", "--untracked-files=no"):
+        sys.exit(f"{tree}: uncommitted changes; commit them first")
+    return {"commit": git("rev-parse", "HEAD"),
+            "src_tree": git("rev-parse", "HEAD:src")}
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float,
@@ -75,7 +71,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     each side's median and IQR, the change's wins over the seeds both
     sides ran, the change's median relative to the parent's (positive is
     worse) and whether the metric regressed beyond its bound or is
-    unresolved (the parent's IQR wider than the bound)."""
+    unresolved (the parent's IQR wider than the bound, unless every
+    change run reads better than every parent run)."""
     out: dict = {}
     untraced = [r for r in runs if r["trace"] == 0 and r["result"]]
     for wl in sorted({r["workload"] for r in untraced}):
@@ -102,6 +99,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             worse = (stats["change"]["median"] - pmed) * (1 if lower else -1)
             rel = worse / pmed if pmed else 0.0
             iqr_frac = stats["parent"]["iqr"] / pmed if pmed else 0.0
+            all_better = (max(vals["change"]) < min(vals["parent"])
+                          if lower else
+                          min(vals["change"]) > max(vals["parent"]))
             row[name] = {"parent": vals["parent"], "change": vals["change"],
                          "parent_median": pmed,
                          "parent_iqr": stats["parent"]["iqr"],
@@ -109,7 +109,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                          "change_iqr": stats["change"]["iqr"],
                          "change_wins": wins, "rel_worse": rel,
                          "regressed": rel > m["bound"],
-                         "unresolved": iqr_frac > m["bound"]}
+                         "unresolved": iqr_frac > m["bound"]
+                         and not all_better}
         out[wl] = row
     return out
 
@@ -118,14 +119,12 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="tools/bench_pairs.py")
     p.add_argument("--parent", required=True, type=Path,
                    help="checkout of the parent commit")
-    p.add_argument("--seeds", default="1-10")
-    p.add_argument("--workloads", nargs="+",
-                   default=["oltp", "migrate", "tpcc"])
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    commits = {s: commit_of(t) for s, t in trees.items()}
     runs: list[dict] = []
 
     def record(side: str, wl: str, seed: int, trace: int) -> None:
@@ -135,20 +134,19 @@ def main(argv=None) -> int:
         print(f"{wl} seed {seed} trace {trace} {side}: exit {got['exit']}",
               file=sys.stderr, flush=True)
 
-    seeds = parse_seeds(args.seeds)
-    for wl in args.workloads:
-        for i, seed in enumerate(seeds):
+    for wl in WORKLOADS:
+        for i, seed in enumerate(SEEDS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 record(side, wl, seed, 0)
         for side in SIDES:
-            record(side, wl, seeds[0], 1)
+            record(side, wl, SEEDS[0], 1)
     doc = {
         "command": "python3 perfbench/run.py --seconds "
                    f"{seconds} --trace {{0,1}}",
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "commits": {s: commit_of(t) for s, t in trees.items()},
-        "seeds": seeds,
+        "commits": commits,
+        "seeds": list(SEEDS),
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,
     }
