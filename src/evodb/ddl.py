@@ -988,13 +988,12 @@ def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
     log records in [start, end) name, with the scan's own step.
 
     A record is replayed only (a) when the newest committed version is the
-    one it names or an older one: a newer one is named by a later record,
-    and an older one means a cascade abort unlinked the named one, so the
-    newest is what the record leaves; and (b) when it was logged at or
-    after the position at which the scan started the record's chunk: a
-    commit stamps its versions before it logs them, so the scan read the
-    version an earlier record names, or a newer one (an unstarted chunk's
-    position is inf)."""
+    one it names or older: a newer one has a later record, and an older
+    one means a cascade abort unlinked the named one; and (b) when it was
+    logged at or after the position at which the scan started the
+    record's chunk: a commit stamps its versions before it logs them, so
+    the scan read the version an earlier record names, or a newer one (an
+    unstarted chunk's position is inf)."""
     arr = job.old_array
     for rec in job.engine.log.scan(start, job.table.table_id, end_lsn=end):
         rid = rec.rid
@@ -1003,8 +1002,7 @@ def _replay_span(job: DdlJob, plan: _Plan, start: int, end: int,
         if rid < job.scan_bound and rec.lsn < job.chunk_lsn[rid // SCAN_CHUNK]:
             continue
         v = core_store.latest_committed(arr, rid)
-        if v is not None and v.commit_ts <= rec.commit_ts \
-                and plan.apply(rid, v):
+        if v is not None and v.commit_ts <= rec.commit_ts and plan.apply(rid, v):
             job.cdc_installs += 1
         if job.failed:
             return
