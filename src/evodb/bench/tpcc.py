@@ -85,8 +85,7 @@ def row_for(schema: SchemaVersion, **values: Any) -> tuple:
 
 
 def col(schema: SchemaVersion, payload: tuple, name: str) -> Any:
-    i = schema.col_index(name)
-    return payload[i] if i < len(payload) else schema.columns[i].default
+    return payload[schema.col_index(name)]
 
 
 class TpccDb:
@@ -183,8 +182,7 @@ class TpccWorkload:
         if payload is None:
             raise _Aborted("missing_row")
         rid = table.indexes["primary"].lookup(encode_key(key))
-        named = {c.name: payload[i] if i < len(payload) else c.default
-                 for i, c in enumerate(schema.columns)}
+        named = {c.name: v for c, v in zip(schema.columns, payload)}
         named.update(updates)
         values = tuple(named[c.name] for c in schema.columns)
         if not self.engine.write(txn, table, rid, values):

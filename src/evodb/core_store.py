@@ -341,7 +341,9 @@ def install_migrated(array: IndirectionArray, rid: Rid, payload: Any,
 def replace_in_place(array: IndirectionArray, rid: Rid, old: Version,
                      new_payload: Any) -> bool:
     """Swap a committed version's payload by substituting a fresh node at
-    the same chain position with the same timestamp (lazy migration).
+    the same chain position with the same timestamp. No engine path
+    rewrites a committed version; the benchmark's checks plant corruption
+    with this to show that they catch it.
 
     Fails (returns False) if the chain changed around ``old``.
     """

@@ -9,18 +9,24 @@
               data capture from the redo log, a pending schema state at
               the pre-commit timestamp, and the overlap ("sneak peek")
               admission rules for early access
-* lazy      - commit the schema immediately, migrate records on access
-              and in the background (``add_column`` only)
+* lazy      - commit the schema at once with a fresh indirection array,
+              and copy each record into it on first access under the new
+              schema or when a background sweep reaches it, whichever is
+              first (``add_column`` only)
 
-Every policy but lazy migrates through one ``_Plan`` per job, made once
-from the spec and the old schema. The plan owns the sink (the source
-array, a fresh array, output tables or an index builder), the key
-positions and the constraints the DDL adds, and one per-record step,
-``apply``, which transforms, verifies and writes to the sink. The
-in-place runner, the relaxed scan and change-data-capture replay all
-call that step, so no loop dispatches on the DDL kind. Basic rejects the
-kinds whose sink is not the source array: with no lock and no change
-data capture nothing would carry concurrent writes into it.
+Every policy migrates through one ``_Plan`` per job, made once from the
+spec and the old schema. The plan owns the sink (the source array, a
+fresh array, output tables or an index builder), the key positions and
+the constraints the DDL adds, and one per-record step, ``apply``, which
+transforms, verifies and writes to the sink. The in-place runner, the
+relaxed scan, change-data-capture replay and the lazy copy all call that
+step, so no loop dispatches on the DDL kind. Basic rejects the kinds
+whose sink is not the source array: with no lock and no change data
+capture nothing would carry concurrent writes into it.
+
+A reader under a schema thus sees only that schema's format in its
+``data_array`` (an in-place migration writes over every live record at
+its commit timestamp) and never guesses a format from a record's length.
 """
 
 from __future__ import annotations
@@ -195,6 +201,9 @@ class LookupContext:
         rid = index.lookup(encode_key(key_values))
         if rid is None:
             return None
+        lazy = handle.lazy_state
+        if lazy is not None and lazy.schema is schema:
+            lazy.migrate(rid)
         v = core_store.latest_committed(schema.data_array, rid)
         if v is None or v.is_tombstone:
             return None
@@ -213,7 +222,7 @@ class LookupContext:
             if got is None:
                 return total
             payload, _ = got
-            if value_idx < len(payload) and payload[value_idx] is not None:
+            if payload[value_idx] is not None:
                 total += payload[value_idx]
             n += 1
 
@@ -376,8 +385,8 @@ class _Plan:
 
     The sink is chosen here, once per job: the source array under the DDL
     transaction (blocking, basic), a fresh array with inherited timestamps
-    (relaxed copies), the output tables of split/join/create-as, an index
-    builder, or none (verify-only kinds)."""
+    (relaxed and lazy copies), the output tables of split/join/create-as,
+    an index builder, or none (verify-only kinds)."""
 
     def __init__(self, job: DdlJob, in_place: bool) -> None:
         engine, spec, table, txn = job.engine, job.spec, job.table, job.txn
@@ -428,14 +437,15 @@ class _Plan:
             self._put = self._delete = self._to_out_tables
             self.to_tail = True
             return
-        if kind is DdlOp.DROP_COLUMN:
-            dropped = old.col_index(spec.drop_column)
-            if any(dropped <= max(ix.key_cols, default=-1)
-                   for ix in table.indexes.values()):
-                # an index keeps its key positions, and writers admitted
-                # in the pending window commit new-format rows against them
-                job.fail("indexed_column")
-                return
+        keyed = {i for ix in table.indexes.values() for i in ix.key_cols}
+        if (kind is DdlOp.DROP_COLUMN
+                and old.col_index(spec.drop_column) <= max(keyed, default=-1)) \
+                or (kind is DdlOp.MODIFY_COLUMN
+                    and old.col_index(spec.column.name) in keyed):
+            # an index keeps its key positions and encoded keys, against
+            # which writers admitted in the pending window commit rows
+            job.fail("indexed_column")
+            return
         verify_only = kind is DdlOp.ADD_CONSTRAINT
         if not in_place and not verify_only and kind is not DdlOp.CREATE_INDEX:
             job.new_array = IndirectionArray()
@@ -546,7 +556,9 @@ def execute_ddl(engine: Engine, spec: DdlSpec, policy: Policy, *,
             return _run_lazy(job)
         return _run_relaxed(job)
     finally:
-        if table.active_ddl is job:
+        # a committed job has released the table itself; a lazy one
+        # holds it until its sweep ends
+        if table.active_ddl is job and job.outcome != "committed":
             table.active_ddl = None
         if not job.resolved.is_set():
             job.resolve("aborted" if job.outcome != "committed" else "committed")
@@ -667,6 +679,7 @@ def _run_in_place(job: DdlJob) -> DdlResult:
     plan.publish()
     _emit_schema_commit(job, plan.schema, txn.commit_ts)
     job.commit_ts = txn.commit_ts
+    table.active_ddl = None
     job.resolve("committed")
     return DdlResult("committed", commit_ts=txn.commit_ts, job=job)
 
@@ -675,42 +688,37 @@ def _run_in_place(job: DdlJob) -> DdlResult:
 
 
 class LazyState:
-    """Per-table lazy-migration adapter: transforms records on access and
-    via background sweep workers, each record at most once."""
+    """A committed lazy job's copy into its fresh array: through the job's
+    plan, on first access under the new schema or when the sweep gets
+    there. The old array stays as it is for snapshots under the old one."""
 
-    def __init__(self, job: DdlJob, old_schema: SchemaVersion,
-                 schema: SchemaVersion) -> None:
+    def __init__(self, job: DdlJob, plan: _Plan) -> None:
         self.job = job
-        self.old_schema = old_schema
-        self.schema = schema
-        self.array = schema.data_array
+        self.plan = plan
+        self.schema = plan.schema
         self.migrated = 0
         self._lock = threading.Lock()
 
-    def migrate_on_access(self, rid: Rid, version: Version) -> Optional[tuple]:
-        if version.is_tombstone:
-            return None
-        new_payload = transform_record(version.payload, self.old_schema,
-                                       self.schema, self.job.spec,
-                                       LookupContext(self.job.engine))
-        if new_payload is INCOMPATIBLE:
-            return None
-        if core_store.replace_in_place(self.array, rid, version, new_payload):
+    def migrate(self, rid: Rid) -> None:
+        """Copy ``rid``'s newest committed version from the old array when
+        the new array holds no committed version of it. No old-schema
+        write commits after the job, and a new-schema write copies first,
+        so the copy is never stale."""
+        job = self.job
+        if job.sweep_done.is_set() or not job.old_array.covers(rid):
+            return
+        new = job.new_array
+        if new.covers(rid) and core_store.latest_committed(new, rid) is not None:
+            return
+        v = core_store.latest_committed(job.old_array, rid)
+        if v is not None and self.plan.apply(rid, v):
             with self._lock:
                 self.migrated += 1
-        return new_payload
 
     def sweep(self, bound: int, workers: int = 1) -> None:
         def run(offset: int) -> None:
             for rid in range(offset, bound, workers):
-                if not self.array.covers(rid):
-                    continue
-                v = core_store.latest_committed(self.array, rid)
-                if v is None or v.is_tombstone:
-                    continue
-                if len(v.payload) == self.schema.ncols:
-                    continue
-                self.migrate_on_access(rid, v)
+                self.migrate(rid)
 
         threads = [threading.Thread(target=run, args=(i,), daemon=True)
                    for i in range(workers)]
@@ -718,38 +726,41 @@ class LazyState:
             t.start()
         for t in threads:
             t.join()
+        self.job.table.active_ddl = None
         self.job.sweep_done.set()
 
 
 def _run_lazy(job: DdlJob) -> DdlResult:
     engine = job.engine
-    spec = job.spec
     table = job.table
-    if spec.kind is not DdlOp.ADD_COLUMN:
-        # other kinds would need a record's format to be known, not
-        # guessed from its arity, and an older snapshot's versions kept
+    if job.spec.kind is not DdlOp.ADD_COLUMN:
+        # a copy made after the commit can neither fail the DDL (verify
+        # and convert kinds) nor fill a sink the commit publishes (index
+        # and table kinds)
         return _abort_job(job, "unsupported_lazy_kind")
     txn = engine.begin()
     job.txn = txn
-    old = engine.catalog.latest_committed_schema(table.table_id)
-    job.old_schema = old
-    new_schema = build_new_schema(old, spec, table.live_array)
-    if not engine.catalog.install_schema_version(txn, table.table_id, new_schema):
-        return _abort_job(job, "conflict")
-    bound = table.next_rid
-    status = engine.commit(txn)
-    if status is TxnStatus.ABORTED:
-        return _abort_job(job, txn.abort_reason or "conflict")
-    _emit_schema_commit(job, new_schema, txn.commit_ts)
-    job.commit_ts = txn.commit_ts
-    state = LazyState(job, old, new_schema)
+    plan = _Plan(job, in_place=False)
+    if job.failed:
+        return _abort_job(job, job.failure)
+    state = LazyState(job, plan)
+    # readers resolve the new schema only once the commit publishes it
     table.lazy_state = state
-    table.active_ddl = None
+    with engine._commit_mutex:
+        # copies carry old timestamps, so they slide beneath new writes
+        job.t_pre = engine.clock.reserve()
+        plan.publish()
+        engine._precommit(txn)
+    engine._deactivate(txn)
+    job.commit_ts = txn.commit_ts
+    _emit_schema_commit(job, plan.schema, job.commit_ts)
     job.resolve("committed")
+    # every record committed in the old array has a rid below this bound
     sweeper = threading.Thread(target=state.sweep,
-                               args=(bound, job.scan_workers), daemon=True)
+                               args=(table.next_rid, job.scan_workers),
+                               daemon=True)
     sweeper.start()
-    return DdlResult("committed", commit_ts=txn.commit_ts, job=job)
+    return DdlResult("committed", commit_ts=job.commit_ts, job=job)
 
 
 # -- relaxed ------------------------------------------------------------------

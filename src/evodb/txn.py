@@ -142,9 +142,7 @@ def encode_key(values: tuple) -> bytes:
 
 def _key_of(payload: Optional[tuple], key_cols: tuple[int, ...]
             ) -> Optional[tuple]:
-    if payload is None or max(key_cols, default=-1) >= len(payload):
-        return None
-    return tuple(payload[i] for i in key_cols)
+    return None if payload is None else tuple(payload[i] for i in key_cols)
 
 
 def _undo_index_ops(ops: list) -> None:
@@ -299,6 +297,9 @@ class Engine:
             if not arr.covers(rid):
                 version = None
             else:
+                lazy = table.lazy_state
+                if lazy is not None and lazy.schema is schema:
+                    lazy.migrate(rid)
                 found = core_store.read_visible(txn.begin_ts, arr, rid)
                 version = found[0] if found else None
         if version is None:
@@ -316,7 +317,7 @@ class Engine:
                                 schema_version=schema.version_no,
                                 admitted=admitted)
             return None
-        payload = self._adapt_payload(table, schema, rid, version)
+        payload = version.payload
         if self.trace:
             self.trace.emit(verifier.READ, txn=txn.txn_id, table=tid,
                             rid=rid, observed_ts=version.commit_ts,
@@ -345,21 +346,6 @@ class Engine:
         if old_v is not None and old_v.commit_ts > version.commit_ts:
             raise OverlapAbort(table.table_id, rid)
         return version
-
-    def _adapt_payload(self, table, schema, rid, version) -> tuple:
-        payload = version.payload
-        n = schema.ncols
-        if len(payload) == n:
-            return payload
-        if len(payload) > n:
-            # written under a wider (newer) schema; project down
-            return payload[:n]
-        lazy = table.lazy_state
-        if lazy is not None and lazy.schema is schema:
-            migrated = lazy.migrate_on_access(rid, version)
-            if migrated is not None:
-                return migrated
-        return payload + schema.defaults()[len(payload):]
 
     def write(self, txn: TxnContext, table: TableHandle, rid: Rid,
               values: Any) -> bool:
@@ -402,6 +388,10 @@ class Engine:
             arr = schema.data_array
             if not arr.covers(rid):
                 arr.ensure(rid)
+            lazy = table.lazy_state
+            if lazy is not None and lazy.schema is schema:
+                # the prior version must be here for index derivation
+                lazy.migrate(rid)
         version = Version(values, owner_txn=txn.txn_id)
         ok = core_store.install_version(txn, arr, rid, version, tid)
         if ok:
@@ -467,12 +457,9 @@ class Engine:
         deletes: list[tuple[str, Any, bytes, Rid]] = []
         inserts: list[tuple[str, Any, bytes, Rid]] = []
         for tid, _arr, rid, version in txn.write_set:
-            if tid == CATALOG_TABLE_ID or tid < 0:
+            if tid == CATALOG_TABLE_ID:
                 continue
-            try:
-                table = self.catalog.handle(tid)
-            except Exception:
-                continue
+            table = self.catalog.handle(tid)
             if not table.indexes:
                 continue
             prior = None
@@ -482,14 +469,12 @@ class Engine:
                     break
             old = None if prior is None or prior.is_tombstone else prior.payload
             new = None if version.is_tombstone else version.payload
-            same_shape = old is not None and new is not None \
-                and len(old) == len(new)
             for index in table.indexes.values():
                 cols = index.key_cols
-                if same_shape:
+                if old is not None and new is not None:
                     # most updates keep the key: compare before building it
                     for i in cols:
-                        if i >= len(new) or old[i] != new[i]:
+                        if old[i] != new[i]:
                             break
                     else:
                         continue
@@ -701,15 +686,13 @@ class Engine:
             for rid in range(table.next_rid):
                 if not arr.covers(rid):
                     continue
+                lazy = table.lazy_state
+                if lazy is not None and lazy.schema is schema:
+                    lazy.migrate(rid)
                 v = core_store.latest_committed(arr, rid)
                 if v is None or v.is_tombstone:
                     continue
-                payload = v.payload
-                if len(payload) < schema.ncols:
-                    payload = payload + schema.defaults()[len(payload):]
-                elif len(payload) > schema.ncols:
-                    payload = payload[:schema.ncols]
-                out[rid] = payload
+                out[rid] = v.payload
             return out
         finally:
             self._deactivate(txn)

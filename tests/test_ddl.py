@@ -1,5 +1,7 @@
 import contextlib
 import functools
+import random
+import sys
 import threading
 import time
 
@@ -636,6 +638,21 @@ class TestOverlapCheck:
             engine.abort(txn)
 
 
+@pytest.fixture
+def held_sweep(monkeypatch):
+    """Hold every lazy sweep until the returned event is set."""
+    release = threading.Event()
+    sweep = ddl.LazyState.sweep
+
+    def held(self, bound, workers=1):
+        release.wait(30)
+        sweep(self, bound, workers)
+
+    monkeypatch.setattr(ddl.LazyState, "sweep", held)
+    yield release
+    release.set()
+
+
 class TestLazyPolicy:
     def test_read_migrates_on_access(self, engine, table3):
         res = execute_ddl(engine, add_col_spec(), Policy.LAZY)
@@ -674,6 +691,124 @@ class TestLazyPolicy:
         res = execute_ddl(engine, spec, Policy.LAZY)
         assert res.status == "aborted"
         assert res.reason == "unsupported_lazy_kind"
+
+    def test_access_before_the_sweep_copies_into_the_live_array(
+            self, engine, held_sweep):
+        t = engine.create_table("tk", INT3, key_cols=("c0",))
+        engine.load_rows(t, ((i, 2 * i, 3 * i) for i in range(20)))
+        engine.drain_now()
+        before = engine.begin()
+        res = execute_ddl(engine, add_col_spec("tk", default=7), Policy.LAZY)
+        assert res.committed and not res.job.sweep_done.is_set()
+        live = t.live_array
+        assert all(live.head(rid) is None for rid in range(20))
+
+        txn = engine.begin()
+        assert engine.read(txn, t, 1) == (1, 2, 3, 7)
+        assert engine.lookup(txn, t, (2,)) == (2, 4, 6, 7)
+        # the copy sits beneath the write, so the key is not re-inserted
+        assert engine.write(txn, t, 3, (3, 6, 9, 8))
+        assert engine.commit(txn) is TxnStatus.COMMITTED
+        got = LookupContext(engine).latest_by_key("tk", (4,))
+        assert got is not None and got[0] == (4, 8, 12, 7)
+        assert [core_store.latest_committed(live, rid).payload
+                for rid in (1, 2, 4)] == [(1, 2, 3, 7), (2, 4, 6, 7),
+                                          (4, 8, 12, 7)]
+        assert [ts for ts, _ in core_store.walk_committed(live, 3)][1:] \
+            == [core_store.latest_committed(res.job.old_array, 3).commit_ts]
+        assert live.head(5) is None
+
+        rows = engine.materialize(t)
+        assert rows[3] == (3, 6, 9, 8)
+        assert all(rows[i] == (i, 2 * i, 3 * i, 7) for i in range(20)
+                   if i != 3)
+        assert core_store.latest_committed(live, 5).payload == (5, 10, 15, 7)
+        assert engine.read(before, t, 5) == (5, 10, 15)
+        assert engine.read(before, t, 3) == (3, 6, 9)
+        engine.abort(before)
+
+        state = t.lazy_state
+        assert state.migrated == 20
+        held_sweep.set()
+        assert res.job.sweep_done.wait(timeout=10)
+        assert state.migrated == 20  # each record copied once
+        txn = engine.begin()
+        assert engine.lookup(txn, t, (3,)) == (3, 6, 9, 8)
+        engine.abort(txn)
+
+    def test_ddl_during_the_sweep_is_refused(self, engine, held_sweep):
+        t = engine.create_table("m", INT3)
+        engine.load_rows(t, ((i, i, i) for i in range(2000)))
+        engine.drain_now()
+        res = execute_ddl(engine, add_col_spec("m", "c3", default=7),
+                          Policy.LAZY)
+        assert res.committed
+        c4 = add_col_spec("m", "c4", default=9)
+        got = execute_ddl(engine, c4, Policy.RELAXED)
+        assert (got.status, got.reason) == ("aborted", "concurrent_ddl")
+        held_sweep.set()
+        assert res.job.sweep_done.wait(timeout=10)
+        assert execute_ddl(engine, c4, Policy.RELAXED).committed
+        assert engine.materialize(t) == {i: (i, i, i, 7, 9)
+                                         for i in range(2000)}
+
+    def test_accesses_racing_the_sweep_copy_each_record_once(
+            self, engine, held_sweep):
+        """Four writers (more than the cores) and a two-thread sweep copy
+        the same records; each writer owns the rids equal to its number
+        modulo 4, so its reads and the final state follow its own model."""
+        n, nthreads = 400, 4
+        t = engine.create_table("tk", INT3, key_cols=("c0",))
+        engine.load_rows(t, ((i, i, i) for i in range(n)))
+        engine.drain_now()
+        res = execute_ddl(engine, add_col_spec("tk", default=7), Policy.LAZY,
+                          scan_workers=2)
+        assert res.committed
+        models = [{} for _ in range(nthreads)]
+        errors = []
+
+        def writer(k):
+            rng = random.Random(k)
+            model = models[k]
+            try:
+                for _ in range(300):
+                    rid = rng.randrange(k, n, nthreads)
+                    row = (rid, rid, rng.randrange(1000), 7)
+                    txn = engine.begin()
+                    assert engine.read(txn, t, rid) \
+                        == model.get(rid, (rid, rid, rid, 7))
+                    assert engine.write(txn, t, rid, row)
+                    assert engine.commit(txn) is TxnStatus.COMMITTED
+                    model[rid] = row
+            except AssertionError as exc:
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(k,))
+                       for k in range(nthreads)]
+            for th in threads:
+                th.start()
+            held_sweep.set()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert res.job.sweep_done.wait(timeout=10)
+        assert t.lazy_state.migrated == n
+        for rid in range(n):
+            core_store.check_chain(t.live_array, rid)
+        expected = {rid: (rid, rid, rid, 7) for rid in range(n)}
+        for model in models:
+            expected.update(model)
+        assert engine.materialize(t) == expected
+        txn = engine.begin()
+        assert all(engine.lookup(txn, t, (rid,)) == expected[rid]
+                   for rid in range(n))
+        engine.abort(txn)
 
 
 class TestBlockingPolicy:
@@ -849,10 +984,11 @@ KEY_MIDDLE = [ColumnDef("a", DType.INT64, default=0),
 
 
 class TestDropColumnUnderIndex:
-    """An index keeps its key positions, so a drop at or left of a key
-    column must abort; one right of every key commits."""
+    """An index keeps its key positions and encoded keys, so a drop at or
+    left of a key column, or a change of a key column's type ("modify"),
+    must abort; a drop right of every key commits."""
 
-    @pytest.mark.parametrize("drop", ["a", "k", "b"])
+    @pytest.mark.parametrize("drop", ["a", "k", "b", "modify"])
     @pytest.mark.parametrize("policy", [Policy.BLOCKING, Policy.BASIC,
                                         Policy.RELAXED])
     def test_primary_key_stays_sound(self, policy, drop):
@@ -861,8 +997,11 @@ class TestDropColumnUnderIndex:
             t = eng.create_table("dk", KEY_MIDDLE, key_cols=("k",))
             eng.load_rows(t, ((i, 1000 + i, 2 * i) for i in range(20)))
             eng.drain_now()
-            res = execute_ddl(eng, DdlSpec(kind=DdlOp.DROP_COLUMN, table="dk",
-                                           drop_column=drop), policy)
+            spec = DdlSpec(kind=DdlOp.MODIFY_COLUMN, table="dk",
+                           column=ColumnDef("k", DType.FLOAT64)) \
+                if drop == "modify" else \
+                DdlSpec(kind=DdlOp.DROP_COLUMN, table="dk", drop_column=drop)
+            res = execute_ddl(eng, spec, policy)
             if drop == "b":
                 assert res.committed, res.reason
                 row = (9, 2000)
